@@ -3,9 +3,13 @@ expression evaluation.
 
 Two independent routes are kept for the plethysm operations:
 
-* the *fast* backend runs Newton's identities over the Adams
-  (power-sum) characters of the weight multiset and decomposes the
-  resulting character by the alternating Weyl-group inversion;
+* the *fast* backend expands the truncated generating function
+  prod_w (1 + t x^w) (exterior powers) or prod_w 1/(1 - t x^w)
+  (symmetric powers) over the weight multiset, one weight at a time
+  like a 0/1 or an unbounded knapsack, and decomposes the degree-p
+  coefficient by Racah-Speiser straightening: per block, add rho, drop
+  the weight on a repeated entry, otherwise sort, subtract rho and
+  count it with the sign of the sort;
 * the *oracle* backend enumerates subsets of the weight multiset and
   peels highest weights one irreducible character at a time.
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from types import MappingProxyType
 
@@ -82,29 +86,34 @@ def _gt_character(lam: tuple):
     return MappingProxyType(table)
 
 
-def _peel(table, *, virtual: bool) -> dict[tuple, int]:
-    """Decompose a weight multiset by repeatedly removing the character
-    of its lexicographically largest weight.
+def _peel(table: dict, k: int) -> dict[tuple, int]:
+    """Decompose a genuine two-block character (keys are concatenated
+    tuples, the first ``k`` entries forming the first block) by
+    repeatedly removing the character of its lexicographically largest
+    weight.  A one-block character is the case of an empty second block.
 
-    With ``virtual=False`` the input must be a genuine character and any
-    negative multiplicity raises :class:`NotACharacterError`.
+    A negative multiplicity or a non-dominant top weight raises
+    :class:`NotACharacterError`.
     """
     rem = {w: c for w, c in table.items() if c}
     out: dict[tuple, int] = {}
     while rem:
         top = max(rem)
         c = rem[top]
-        if not virtual and (c < 0 or not _dominant(top)):
+        first, second = top[:k], top[k:]
+        if c < 0 or not (_dominant(first) and _dominant(second)):
             raise NotACharacterError(
                 f"peeling hit weight {top} with multiplicity {c}"
             )
         out[top] = c
-        for w, m in _gt_character(top).items():
-            nv = rem.get(w, 0) - c * m
-            if nv:
-                rem[w] = nv
-            else:
-                rem.pop(w, None)
+        for f, a in _gt_character(first).items():
+            for s, b in _gt_character(second).items():
+                key = f + s
+                nv = rem.get(key, 0) - c * a * b
+                if nv:
+                    rem[key] = nv
+                else:
+                    rem.pop(key, None)
     return out
 
 
@@ -189,56 +198,37 @@ def _pair_mul(a: dict, b: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _perm_shifts(size: int):
-    """Signed shift vectors rho - sigma(rho) over the symmetric group,
-    with the sign of sigma."""
-    rho = tuple(range(size - 1, -1, -1))
-    out = []
-    for arranged in set(permutations(rho)):
-        inversions = sum(
-            1
-            for i in range(size)
-            for j in range(i + 1, size)
-            if arranged[i] < arranged[j]
-        )
-        sign = 1 if inversions % 2 == 0 else -1
-        out.append((sign, tuple(rho[i] - arranged[i] for i in range(size))))
-    return tuple(out)
+def _straighten(block: tuple):
+    """Racah-Speiser step for one block: ``(sign, dominant)`` with
+    ``dominant + rho = sort(block + rho)`` and ``sign`` the parity of
+    that sort, or None when ``block + rho`` has a repeated entry."""
+    b = len(block)
+    shifted = [x + b - 1 - i for i, x in enumerate(block)]
+    if len(set(shifted)) < b:
+        return None
+    inversions = sum(
+        1 for i in range(b) for j in range(i + 1, b) if shifted[i] < shifted[j]
+    )
+    shifted.sort(reverse=True)
+    dominant = tuple(x - (b - 1 - i) for i, x in enumerate(shifted))
+    return (-1 if inversions % 2 else 1), dominant
 
 
-def _alternant_decompose(char: dict, k: int) -> dict:
+def _racah_speiser(char: dict, k: int) -> dict:
     """Decompose a Weyl-group-invariant two-block character (keys are
-    concatenated length-n weights) into dominant highest weights by the
-    alternating-sum inversion of the character formula, one block at a
-    time."""
-    if not char:
-        return {}
-    n = len(next(iter(char)))
-    # second block first: partial[(w1, nu2)] = signed sum over its orbit
-    partial: dict = {}
-    for w, m in char.items():
-        w1, w2 = w[:k], w[k:]
-        for sign, delta in _perm_shifts(n - k):
-            nu2 = tuple(w2[i] - delta[i] for i in range(n - k))
-            if _dominant(nu2):
-                key = (w1, nu2)
-                nv = partial.get(key, 0) + sign * m
-                if nv:
-                    partial[key] = nv
-                else:
-                    partial.pop(key, None)
+    concatenated length-n weights) into dominant highest weights by
+    straightening every weight, one block at a time."""
     out: dict = {}
-    for (w1, nu2), m in partial.items():
-        for sign, delta in _perm_shifts(k):
-            nu1 = tuple(w1[i] - delta[i] for i in range(k))
-            if _dominant(nu1):
-                key = nu1 + nu2
-                nv = out.get(key, 0) + sign * m
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+    for w, m in char.items():
+        s1, s2 = _straighten(w[:k]), _straighten(w[k:])
+        if s1 is None or s2 is None:
+            continue
+        key = s1[1] + s2[1]
+        nv = out.get(key, 0) + s1[0] * s2[0] * m
+        if nv:
+            out[key] = nv
+        else:
+            out.pop(key, None)
     return out
 
 
@@ -254,68 +244,25 @@ def _full_char(d: "Decomposition") -> dict:
     return out
 
 
-def _adams_char(items, m: int) -> dict:
-    """Character of the Adams operation: every weight scaled by m."""
-    out: dict = {}
-    for w, c in items:
-        key = tuple(x * m for x in w)
-        out[key] = out.get(key, 0) + c
-    return out
+def _power_char(char: dict, p: int, kind: str) -> dict:
+    """Character of the p-th exterior (``kind="wedge"``) or symmetric
+    power of a weight multiset: the t^p coefficient of
+    prod_w (1 + t x^w)^m(w), or of prod_w (1 - t x^w)^-m(w).
 
-
-def _char_convolve(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(w1, w2))
-            nv = out.get(key, 0) + c1 * c2
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
-
-
-# Extended on demand; keyed by (character items, kind).  Entries are
-# replaced whole, never mutated, so concurrent readers stay safe.
-_series_cache: dict = {}
-
-
-def _power_char_series(items: tuple, kind: str, jmax: int) -> list:
-    """Characters of the exterior or symmetric powers of a weight
-    multiset, via Newton's identities over the Adams (power-sum)
-    characters:  j E_j = sum_m (-1)^(m-1) psi_m * E_(j-m)  and
-    j H_j = sum_m psi_m * H_(j-m)."""
-    key = (items, kind)
-    series = _series_cache.get(key)
-    if series is None:
-        n = len(items[0][0]) if items else 0
-        series = [{(0,) * n: 1}]
-    if len(series) > jmax:
-        return series
-    series = list(series)
-    for j in range(len(series), jmax + 1):
-        acc: dict = {}
-        for m in range(1, j + 1):
-            if not series[j - m]:
-                continue
-            term = _char_convolve(_adams_char(items, m), series[j - m])
-            factor = 1 if kind == "sym" or m % 2 == 1 else -1
-            for w, c in term.items():
-                nv = acc.get(w, 0) + factor * c
-                if nv:
-                    acc[w] = nv
-                else:
-                    acc.pop(w, None)
-        level = {}
-        for w, c in acc.items():
-            if c % j:
-                raise AssertionError("Newton recursion produced a non-integer")
-            if c // j:
-                level[w] = c // j
-        series.append(level)
-    _series_cache[key] = series
-    return series
+    Each factor is multiplied in with the degrees run downward for a
+    wedge (every weight used at most once, a 0/1 knapsack) and upward
+    for a sym (reused freely, an unbounded knapsack)."""
+    n = len(next(iter(char)))
+    levels: list[dict] = [{(0,) * n: 1}] + [{} for _ in range(p)]
+    degrees = range(p, 0, -1) if kind == "wedge" else range(1, p + 1)
+    for w, m in char.items():
+        for _ in range(m):
+            for j in degrees:
+                dst = levels[j]
+                for v, c in levels[j - 1].items():
+                    key = tuple([a + b for a, b in zip(v, w)])
+                    dst[key] = dst.get(key, 0) + c
+    return levels[p]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +295,7 @@ def gt_weights(lam, k: int | None = None) -> Character:
 def decompose_character(c: Character) -> dict[tuple, int]:
     """Highest-weight peeling of a genuine character; returns the map
     from dominant weights to multiplicities."""
-    return _peel(c.table, virtual=False)
+    return _peel(c.table, c.k)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +377,12 @@ def lr_tensor(a: Decomposition, b: Decomposition) -> Decomposition:
     return _from_pairs(a.ctx, _pair_mul(_to_pairs(a), _to_pairs(b)))
 
 
-def _char_items(d: Decomposition) -> tuple:
-    return tuple(sorted(_full_char(d).items()))
-
-
-def _det_pair(items, k: int, nk: int):
+def _det_pair(char: dict, k: int, nk: int):
     """Weight of the top exterior power: the coordinate sums of the
     weight multiset, constant on each block."""
     n = k + nk
     sums = [0] * n
-    for w, c in items:
+    for w, c in char.items():
         for i, x in enumerate(w):
             sums[i] += c * x
     first, second = sums[:k], sums[k:]
@@ -461,32 +404,32 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
         return Decomposition(ctx, {})
     if kind == "wedge" and p > rank:
         return Decomposition(ctx, {})
+    char = _full_char(d)
     if kind == "wedge" and 2 * p > rank:
-        # wedge^p = (wedge^(rank-p))* (x) det, which keeps the Newton
-        # recursion depth at rank/2
-        comp = _power_fast(d, rank - p, kind)
-        d1, d2 = _det_pair(_char_items(d), k, nk)
-        table = {}
-        for w, c in comp.table.items():
-            first = tuple(d1 - x for x in reversed(w.first))
-            second = tuple(d2 - x for x in reversed(w.second))
-            table[BlockWeight(ctx, first, second)] = c
-        return Decomposition(ctx, table)
-    items = _char_items(d)
-    series = _power_char_series(items, kind, p)
-    dec = _alternant_decompose(series[p], k)
+        # wedge^p = (wedge^(rank-p))* (x) det, which keeps the series
+        # at degree rank/2 and the straightened character small
+        d1, d2 = _det_pair(char, k, nk)
+        dec = {
+            tuple(d1 - x for x in reversed(w[:k]))
+            + tuple(d2 - x for x in reversed(w[k:])): c
+            for w, c in _racah_speiser(_power_char(char, rank - p, kind), k).items()
+        }
+    else:
+        dec = _racah_speiser(_power_char(char, p, kind), k)
     expected = comb(rank, p) if kind == "wedge" else comb(rank + p - 1, p)
     total = 0
-    table = {}
+    summands = []
     for w, c in dec.items():
         if c <= 0:
             raise AssertionError(f"virtual term {w}: {c} in a genuine power")
         bw = BlockWeight(ctx, w[:k], w[k:])
         total += c * block_rank(bw)
-        table[bw] = c
+        summands.append((bw.canonical(), bw, c))
     if total != expected:
         raise AssertionError(f"rank mismatch: {total} != {expected}")
-    return Decomposition(ctx, table)
+    # canonical order, the order a decomposition read back from the
+    # disk cache has
+    return Decomposition(ctx, {bw: c for _, bw, c in sorted(summands)})
 
 
 def _oracle_power(d: Decomposition, p: int, with_repetition: bool) -> Decomposition:
@@ -520,32 +463,8 @@ def _oracle_power(d: Decomposition, p: int, with_repetition: bool) -> Decomposit
     shift = p * spread
     for code, c in packed.items():
         counts[tuple((code // powers[i]) % base - shift for i in range(n))] = c
-    peeled = _peel_two_block(counts, k)
+    peeled = _peel(counts, k)
     return _from_pairs(ctx, {(w[:k], w[k:]): m for w, m in peeled.items()})
-
-
-def _peel_two_block(table: dict, k: int) -> dict:
-    """Peel a two-block weight multiset (keys are concatenated length-n
-    tuples) into per-block-dominant highest weights."""
-    rem = {w: c for w, c in table.items() if c}
-    out: dict[tuple, int] = {}
-    while rem:
-        top = max(rem)
-        c = rem[top]
-        if c < 0 or not (_dominant(top[:k]) and _dominant(top[k:])):
-            raise NotACharacterError(
-                f"peeling hit weight {top} with multiplicity {c}"
-            )
-        out[top] = c
-        for f, a in _gt_character(top[:k]).items():
-            for s, b in _gt_character(top[k:]).items():
-                key = f + s
-                nv = rem.get(key, 0) - c * a * b
-                if nv:
-                    rem[key] = nv
-                else:
-                    rem.pop(key, None)
-    return out
 
 
 def wedge_power(d: Decomposition, p: int, method: str = "fast") -> Decomposition:

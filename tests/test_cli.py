@@ -137,11 +137,18 @@ def test_jobs_outputs_identical(tmp_path):
 
 
 def test_cache_flag_outputs_identical(tmp_path):
-    args = ["bott", "tensor(Theta,wedge(2,dual(sym(2,Q))))", "--grass", "2,5"]
-    cold = run_cli(args, tmp_path)
-    warm = run_cli(args, tmp_path)  # second run reads the store
-    off = run_cli([*args, "--no-cache"], tmp_path)
-    assert cold.stdout == warm.stdout == off.stdout
+    # screen lists the summands of F in decomposition order, so a wedge
+    # with several summands shows whether a power read back from the
+    # store keeps the order of a freshly computed one
+    for args in (
+        ["bott", "tensor(Theta,wedge(2,dual(sym(2,Q))))", "--grass", "2,5"],
+        ["screen", "--F", "wedge(3,irr[2,1,0])", "--grass", "3,6"],
+    ):
+        cold = run_cli(args, tmp_path)
+        warm = run_cli(args, tmp_path)  # second run reads the store
+        off = run_cli([*args, "--no-cache"], tmp_path)
+        assert cold.returncode == 0
+        assert cold.stdout == warm.stdout == off.stdout
     assert (tmp_path / "cache").exists()
 
 
