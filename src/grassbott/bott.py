@@ -6,6 +6,13 @@ exactly one group survives, in the degree given by the number of
 inversions, with dimension the Weyl dimension of the sorted shifted
 weight re-centered by the same shift.
 
+The theorem scans ask for one degree at a time, so Bott is split in
+two steps on plain entry tuples: :func:`bott_degree` finds the surviving
+degree (or that nothing survives) from the inversion count alone, and
+:func:`bott_dim` computes the Weyl dimension only for the groups a scan
+keeps.  :func:`bott_irreducible` is both steps on a validated weight and
+stays the reference.
+
 A cohomology profile is a plain dict {degree: dimension} with absent
 keys meaning zero.
 """
@@ -32,24 +39,42 @@ def shifted_vector(fw: FullWeight) -> tuple:
     return tuple((n - i) + x for i, x in enumerate(fw.entries))
 
 
-def bott_irreducible(fw: FullWeight) -> dict[int, int]:
-    """Cohomology profile of the irreducible bundle with highest weight
-    ``fw``; at most one degree is nonzero."""
-    blocks = fw.blocks()
-    if not blocks.is_dominant():
-        raise DomainError(f"weight {fw.entries} is not dominant per block")
-    alpha = shifted_vector(fw)
-    n = fw.ctx.n
+def bott_degree(entries: tuple) -> tuple[int, tuple] | None:
+    """Degree step of Bott on the concatenated entries of a block-dominant
+    weight: None when the rho-shifted vector has a repeated entry (all
+    cohomology vanishes), otherwise its inversion count, the one degree
+    that survives, together with the shifted vector for :func:`bott_dim`."""
+    n = len(entries)
+    alpha = tuple(n - i + x for i, x in enumerate(entries))
     if len(set(alpha)) < n:
-        return {}
+        return None
     inversions = 0
     for i in range(n):
         for j in range(i + 1, n):
             if alpha[i] < alpha[j]:
                 inversions += 1
-    lam = tuple(sorted(alpha, reverse=True))
-    recentred = tuple(lam[i] - (n - i) for i in range(n))
-    return {inversions: sl_dim(recentred)}
+    return inversions, alpha
+
+
+def bott_dim(alpha: tuple) -> int:
+    """Dimension of the surviving group, from the shifted vector returned
+    by :func:`bott_degree`: the Weyl dimension of the sorted vector
+    re-centred by rho."""
+    n = len(alpha)
+    lam = sorted(alpha, reverse=True)
+    return sl_dim(tuple(lam[i] - (n - i) for i in range(n)))
+
+
+def bott_irreducible(fw: FullWeight) -> dict[int, int]:
+    """Cohomology profile of the irreducible bundle with highest weight
+    ``fw``; at most one degree is nonzero."""
+    if not fw.blocks().is_dominant():
+        raise DomainError(f"weight {fw.entries} is not dominant per block")
+    found = bott_degree(fw.entries)
+    if found is None:
+        return {}
+    degree, alpha = found
+    return {degree: bott_dim(alpha)}
 
 
 def profile_add(acc: dict[int, int], profile: dict[int, int], mult: int = 1) -> None:

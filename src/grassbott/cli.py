@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import bott, cache, koszul, schur, screens, theorems
 from . import expr as ex
@@ -276,17 +277,25 @@ def run(args) -> int:
     raise StructureError(f"unknown command {args.command!r}")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return run(args)
-    except (ParseError, StructureError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GrassbottError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # library warnings reach the user as one line, without the
+        # Python source location
+        warnings.showwarning = _print_warning
+        try:
+            return run(args)
+        except (ParseError, StructureError, DomainError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except GrassbottError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

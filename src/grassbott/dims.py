@@ -2,11 +2,14 @@
 
 Everything here is integer arithmetic: each Weyl-product factor is
 accumulated as a numerator/denominator pair with a gcd reduction per
-step, and the final division is checked exact.
+step, and the final division is checked exact.  The product is
+memoised on the weight shifted so that its last entry is 0; the input
+checks run before the lookup, on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
@@ -27,6 +30,12 @@ def sl_dim(entries, n: int | None = None) -> int:
         raise DomainError(f"weight has length {len(lam)}, expected {n}")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise DomainError(f"weight {lam} is not nonincreasing")
+    return _weyl_product(tuple(x - lam[-1] for x in lam))
+
+
+@lru_cache(maxsize=None)
+def _weyl_product(lam: tuple) -> int:
+    n = len(lam)
     num = 1
     den = 1
     for i in range(n):

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import expr as ex
 from .dims import block_rank, sl_dim
 from .errors import DomainError, StructureError
-from .schur import Decomposition, lr_tensor, wedge_power
-from .weights import BlockWeight, GrassContext, dual_weight, is_globally_generated
+from .schur import evaluate
+from .weights import BlockWeight, GrassContext, is_globally_generated
 
 
 @dataclass
@@ -132,8 +133,7 @@ def _require_irreducible(ctx: GrassContext, beta) -> BlockWeight:
 
 def _wedge_first_weights(ctx: GrassContext, beta: BlockWeight, p: int):
     """Dominant k-block weights of wedge^p of the irreducible bundle."""
-    d = Decomposition(ctx, {beta: 1})
-    return [(w.first, m) for w, m in wedge_power(d, p).items()]
+    return [(w.first, m) for w, m in evaluate(ex.Wedge(p, ex.Irr(beta)), ctx).items()]
 
 
 def _rank_bound_42(k: int, size: int, rank: int, s: int) -> bool:
@@ -245,9 +245,8 @@ def find_witnesses_5(
         if p < 0 or p > rank:
             continue
         if system == "a":
-            base = Decomposition(ctx, {beta: 1})
-            dual = Decomposition(ctx, {dual_weight(beta): 1})
-            prod = lr_tensor(dual, wedge_power(base, p))
+            f = ex.Irr(beta)
+            prod = evaluate(ex.Tensor(ex.Dual(f), ex.Wedge(p, f)), ctx)
             weights = [(w.first, m) for w, m in prod.items()]
         else:
             weights = _wedge_first_weights(ctx, beta, p)

@@ -9,6 +9,15 @@ of wedge^p F lies in [0, p * b_max], so for r >= p * b_max the twisted
 dual weight is dominant as a full vector and only degree zero can
 survive; the margin property test exercises this bound.
 
+wedge^p F* is decomposed once per p, and each summand is walked along
+its twists on plain entry tuples.  Twisting by r adds r to every entry
+of the k-block.  Within a block the rho-shifted entries are strictly
+decreasing, so the Bott degree is the number of pairs (i, j) with
+a_i + r < b_j, a for the shifted k-block and b for the shifted
+(n-k)-block, and it never increases with r.  A summand therefore stops
+its walk at the first twist whose degree is below p, and only the
+summands that meet H^p are turned into twisted weights.
+
 The second scan checks H^p(Gr, F (x) wedge^p F*) = 0 for p >= 1 and
 H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.
 """
@@ -19,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bott import bott_irreducible
+from .bott import bott_degree, bott_dim
 from .errors import StructureError
 from .koszul import TargetKind, analyze, build_table
 from .parallel import parallel_map
@@ -30,7 +39,7 @@ from .screens import (
     find_witnesses_5,
     screen,
 )
-from .weights import BlockWeight, GrassContext, full_weight, is_globally_generated
+from .weights import BlockWeight, GrassContext, is_globally_generated, twist
 
 
 @dataclass
@@ -126,10 +135,9 @@ def _group_profile(ctx: GrassContext, e: ex.Expr, degree: int):
     dim = 0
     contributing = []
     for w, m in evaluate(e, ctx).items():
-        profile = bott_irreducible(full_weight(w))
-        d = profile.get(degree, 0)
-        if d:
-            dim += m * d
+        found = bott_degree(w.first + w.second)
+        if found is not None and found[0] == degree:
+            dim += m * bott_dim(found[1])
             contributing.append(w)
     return dim, tuple(sorted(contributing, key=lambda w: w.canonical()))
 
@@ -145,13 +153,28 @@ def scan_normality(ctx: GrassContext, f: ex.Expr, jobs: int = 1):
     b_max = _b_max(weights)
 
     def scan_p(p: int):
+        twists = range(0, p * b_max + 1)
+        dims = [0] * len(twists)
+        contrib = [[] for _ in twists]
+        for w, m in evaluate(_wedge_dual(f, p), ctx).items():
+            for r in twists:
+                found = bott_degree(tuple(x + r for x in w.first) + w.second)
+                if found is None:
+                    continue
+                degree, alpha = found
+                if degree < p:
+                    break
+                if degree == p:
+                    dims[r] += m * bott_dim(alpha)
+                    contrib[r].append(w)
         checks, witnesses = [], []
-        for r in range(0, p * b_max + 1):
-            e = ex.Tensor(ex.Line(r), _wedge_dual(f, p))
-            dim, contrib = _group_profile(ctx, e, p)
-            checks.append(CheckEntry(f"H^{p}((wedge^{p} F*)({r}))", p, r, dim))
-            if dim:
-                witnesses.append(ScanWitness("thm1", p, r, dim, contrib))
+        for r in twists:
+            checks.append(CheckEntry(f"H^{p}((wedge^{p} F*)({r}))", p, r, dims[r]))
+            if dims[r]:
+                twisted = tuple(
+                    sorted((twist(w, r) for w in contrib[r]), key=BlockWeight.canonical)
+                )
+                witnesses.append(ScanWitness("thm1", p, r, dims[r], twisted))
         return checks, witnesses
 
     results = parallel_map(scan_p, range(1, rank_f + 1), jobs)

@@ -81,6 +81,15 @@ def test_check_thm3_list_argument(tmp_path):
     assert json.loads(proc.stdout)["verdict"] == "pass"
 
 
+def test_warning_is_one_stderr_line(tmp_path):
+    proc = run_cli(["check", "thm3", "--F", "sym(2,Q)", "--grass", "2,5"], tmp_path)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+    assert proc.stderr == (
+        "warning: dim X = 3, the four-fold statement is stated for dim X = 4\n"
+    )
+
+
 def test_euler_hilbert_screen(tmp_path):
     proc = run_cli(["euler", "--E", "O(0)", "--F", "O(4)", "--grass", "1,4"], tmp_path, check=True)
     assert json.loads(proc.stdout) == {"euler": "2"}

@@ -15,6 +15,7 @@ def test_sl_dim_basics():
 
 
 def test_sl_dim_shift_invariance():
+    # shifted weights share one memo entry
     for lam in [(3, 1, 0), (2, 2, 1, 0), (5, 0, -2)]:
         base = sl_dim(lam)
         for c in (-3, -1, 1, 4):
@@ -26,6 +27,19 @@ def test_sl_dim_rejects_non_dominant():
         sl_dim((0, 1))
     with pytest.raises(DomainError):
         sl_dim((1, 0), 3)
+
+
+def test_sl_dim_checks_run_on_memoised_weights():
+    # the Weyl product is memoised on the weight shifted to end in 0;
+    # the length and order checks must still run on every call
+    assert sl_dim((3, 1, 0)) == 15
+    with pytest.raises(DomainError):
+        sl_dim((3, 1, 0), 4)
+    with pytest.raises(DomainError):
+        sl_dim((0, 1, 3))
+    assert sl_dim((2, 0)) == 3
+    with pytest.raises(DomainError):
+        sl_dim((0, 2))
 
 
 def test_block_rank_examples():

@@ -1,9 +1,10 @@
+import random
 import warnings
 
 import pytest
 
 from grassbott import expr as ex
-from grassbott.bott import cohomology
+from grassbott.bott import bott_degree, bott_dim, bott_irreducible, cohomology
 from grassbott.errors import StructureError
 from grassbott.theorems import (
     check_theorem1,
@@ -12,7 +13,8 @@ from grassbott.theorems import (
     cross_validate,
     scan_normality,
 )
-from grassbott.weights import BlockWeight, GrassContext
+from grassbott.schur import evaluate
+from grassbott.weights import BlockWeight, GrassContext, full_weight, twist
 
 CTX25 = GrassContext(2, 5)
 CTX14 = GrassContext(1, 4)
@@ -167,6 +169,71 @@ def test_truncation_margin():
             for r in range(p * b_max + 1, p * b_max + ctx.n + 1):
                 profile = cohomology(ex.Tensor(ex.Line(r), ex.Wedge(p, ex.Dual(f))), ctx)
                 assert set(profile) <= {0}, (ctx, first, p, r)
+
+
+def _tensor_route(ctx, f, p, r):
+    """H^p((wedge^p F*)(r)) through a twist node and the reference Bott."""
+    dim, weights = 0, []
+    for w, m in evaluate(ex.Tensor(ex.Line(r), ex.Wedge(p, ex.Dual(f))), ctx).items():
+        d = bott_irreducible(full_weight(w)).get(p, 0)
+        if d:
+            dim += m * d
+            weights.append(w)
+    return dim, tuple(sorted(weights, key=BlockWeight.canonical))
+
+
+@pytest.mark.parametrize(
+    "ctx,text",
+    [
+        (CTX25, "sym(3,Q)"),
+        (GrassContext(3, 6), "irr[2,1,0]"),
+        (CTX25, "sum(sym(3,Q),O(1))"),
+    ],
+)
+def test_twist_walk_matches_tensor_route(ctx, text):
+    f = ex.parse_expr(text, ctx)
+    rank = evaluate(f, ctx).rank()
+    b_max = max(w.first[0] for w, _ in evaluate(f, ctx).items())
+    checks, witnesses = scan_normality(ctx, f)
+    assert [(c.p, c.r) for c in checks] == [
+        (p, r) for p in range(1, rank + 1) for r in range(p * b_max + 1)
+    ]
+    assert witnesses
+    by_twist = {(w.p, w.r): w for w in witnesses}
+    for c in checks:
+        dim, weights = _tensor_route(ctx, f, c.p, c.r)
+        assert c.dim == dim, (c.p, c.r)
+        wit = by_twist.get((c.p, c.r))
+        found = (wit.dim, wit.weights) if wit else (0, ())
+        assert found == (dim, weights), (c.p, c.r)
+    assert len(by_twist) == len(witnesses)
+
+
+def _random_dominant(rng, length, lo, hi):
+    return tuple(sorted((rng.randint(lo, hi) for _ in range(length)), reverse=True))
+
+
+@pytest.mark.parametrize("ctx", [CTX25, GrassContext(3, 6)])
+def test_bott_degree_monotone_in_twist(ctx):
+    # the twist walk stops at the first degree below p; that is sound
+    # because twisting raises only the k-block, so the degree never grows
+    rng = random.Random(2026)
+    k, n = ctx.k, ctx.n
+    for _ in range(300):
+        w = BlockWeight(
+            ctx, _random_dominant(rng, k, -6, 6), _random_dominant(rng, n - k, -6, 6)
+        )
+        last = None
+        for r in range(0, 16):
+            tw = twist(w, r)
+            found = bott_degree(tw.first + tw.second)
+            expected = {} if found is None else {found[0]: bott_dim(found[1])}
+            assert bott_irreducible(full_weight(tw)) == expected, (w, r)
+            if found is None:
+                continue
+            if last is not None:
+                assert found[0] <= last, (w, r)
+            last = found[0]
 
 
 def test_cross_validate_surfaces_chain_discrepancy():
