@@ -3,8 +3,9 @@
 Everything here is integer arithmetic: each Weyl-product factor is
 accumulated as a numerator/denominator pair with a gcd reduction per
 step, and the final division is checked exact.  The product is
-memoised on the weight shifted so that its last entry is 0; the input
-checks run before the lookup, on every call.
+memoised on the weight shifted so that its last entry is 0 (a bounded
+table: the criterion-4 sweep needs 69 entries); the input checks run
+before the lookup, on every call.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ def sl_dim(entries, n: int | None = None) -> int:
         raise DomainError(f"weight has length {len(lam)}, expected {n}")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise DomainError(f"weight {lam} is not nonincreasing")
+    if n == 0:
+        return 1
     return _weyl_product(tuple(x - lam[-1] for x in lam))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _weyl_product(lam: tuple) -> int:
     n = len(lam)
     num = 1

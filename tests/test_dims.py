@@ -8,6 +8,7 @@ from grassbott.weights import BlockWeight, GrassContext, dual_weight, twist
 
 
 def test_sl_dim_basics():
+    assert sl_dim(()) == 1
     assert sl_dim((0, 0, 0, 0, 0)) == 1
     assert sl_dim((1, 1, 0, 0)) == 6
     # brute-force oracle: the adjoint representation has dimension n^2 - 1
@@ -15,7 +16,6 @@ def test_sl_dim_basics():
 
 
 def test_sl_dim_shift_invariance():
-    # shifted weights share one memo entry
     for lam in [(3, 1, 0), (2, 2, 1, 0), (5, 0, -2)]:
         base = sl_dim(lam)
         for c in (-3, -1, 1, 4):
@@ -23,21 +23,18 @@ def test_sl_dim_shift_invariance():
 
 
 def test_sl_dim_rejects_non_dominant():
+    # a valid call first, so the checks are seen to run on weights the
+    # Weyl product has already been computed for
+    assert sl_dim((3, 1, 0)) == 15
+    assert sl_dim((2, 0)) == 3
     with pytest.raises(DomainError):
         sl_dim((0, 1))
     with pytest.raises(DomainError):
         sl_dim((1, 0), 3)
-
-
-def test_sl_dim_checks_run_on_memoised_weights():
-    # the Weyl product is memoised on the weight shifted to end in 0;
-    # the length and order checks must still run on every call
-    assert sl_dim((3, 1, 0)) == 15
     with pytest.raises(DomainError):
         sl_dim((3, 1, 0), 4)
     with pytest.raises(DomainError):
         sl_dim((0, 1, 3))
-    assert sl_dim((2, 0)) == 3
     with pytest.raises(DomainError):
         sl_dim((0, 2))
 
