@@ -24,19 +24,13 @@ from functools import lru_cache
 from . import expr as ex
 from .dims import sl_dim
 from .errors import DomainError
-from .schur import Decomposition, evaluate, _store_get, _store_put
+from .schur import Decomposition, _through_store, evaluate
 from .weights import FullWeight, GrassContext, full_weight
 
 
 def rho(n: int) -> tuple:
     """The shift vector (n, n-1, ..., 1)."""
     return tuple(range(n, 0, -1))
-
-
-def shifted_vector(fw: FullWeight) -> tuple:
-    """The rho-shifted weight fed to the distinctness/inversion test."""
-    n = fw.ctx.n
-    return tuple((n - i) + x for i, x in enumerate(fw.entries))
 
 
 def bott_degree(entries: tuple) -> tuple[int, tuple] | None:
@@ -92,13 +86,14 @@ def cohomology_of(d: Decomposition) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _cohomology_cached(e: ex.Expr, ctx: GrassContext):
-    key = f"{ctx}|{ex.to_text(e)}"
-    cached = _store_get("cohomology", key)
-    if cached is not None:
-        return {int(p): int(d) for p, d in cached.items()}
-    profile = cohomology_of(evaluate(e, ctx))
-    _store_put("cohomology", key, profile_to_json(profile))
-    return profile
+    return _through_store(
+        "cohomology",
+        e,
+        ctx,
+        lambda: cohomology_of(evaluate(e, ctx)),
+        profile_to_json,
+        lambda cached: {int(p): int(d) for p, d in cached.items()},
+    )
 
 
 def cohomology(e: ex.Expr, ctx: GrassContext) -> dict[int, int]:

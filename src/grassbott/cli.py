@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -39,9 +38,6 @@ def _common_flags(parser: argparse.ArgumentParser, grass: bool = True) -> None:
         parser.add_argument("--grass", metavar="K,N", help="Grassmannian context k,n")
     parser.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="worker pool size"
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="skip the persistent cache"
@@ -157,7 +153,6 @@ def run(args) -> int:
         schur.set_store(cache.Store())
     else:
         schur.set_store(None)
-    jobs = max(1, args.jobs)
 
     if args.command == "rank":
         ctx = _need_grass(args)
@@ -187,7 +182,7 @@ def run(args) -> int:
         ctx = _need_grass(args)
         e = ex.parse_expr(args.E, ctx)
         f = ex.parse_expr(args.F, ctx)
-        table = koszul.build_table(e, f, ctx, jobs)
+        table = koszul.build_table(e, f, ctx)
         kind = (
             koszul.TargetKind.RESTRICTION
             if args.target == "restriction"
@@ -230,13 +225,13 @@ def run(args) -> int:
         ctx = _need_grass(args)
         if args.theorem == "thm3":
             exprs = [ex.parse_expr(t, ctx) for t in ex.split_expr_list(args.F)]
-            report = theorems.check_theorem3(ctx, exprs, jobs)
+            report = theorems.check_theorem3(ctx, exprs)
         else:
             f = ex.parse_expr(args.F, ctx)
             if args.theorem == "thm1":
-                report = theorems.check_theorem1(ctx, f, jobs)
+                report = theorems.check_theorem1(ctx, f)
             else:
-                report = theorems.check_theorem2(ctx, f, jobs)
+                report = theorems.check_theorem2(ctx, f)
         _emit(args, report.to_json(), _report_lines(report))
         return 1 if report.witnesses else 0
 
@@ -267,7 +262,7 @@ def run(args) -> int:
     if args.command == "crossval":
         ctx = _need_grass(args)
         beta = _parse_int_list(args.beta)
-        report = theorems.cross_validate(ctx, beta, jobs)
+        report = theorems.cross_validate(ctx, beta)
         lines = [f"match: {m}" for m in report.matches]
         lines += [f"MISMATCH: {m}" for m in report.mismatches]
         lines.append(f"consistent: {report.consistent}")

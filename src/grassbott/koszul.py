@@ -97,7 +97,7 @@ def _column_expr(e: ex.Expr, f: ex.Expr, q: int) -> ex.Expr:
     return ex.Tensor(e, ex.Wedge(q, ex.Dual(f)))
 
 
-def build_table(e: ex.Expr, f: ex.Expr, ctx: GrassContext, jobs: int = 1) -> KoszulTable:
+def build_table(e: ex.Expr, f: ex.Expr, ctx: GrassContext) -> KoszulTable:
     """Compute every Koszul column for the section bundle ``f`` twisted
     against ``e``; F must be globally generated."""
     fd = evaluate(f, ctx)
@@ -112,7 +112,7 @@ def build_table(e: ex.Expr, f: ex.Expr, ctx: GrassContext, jobs: int = 1) -> Kos
             stacklevel=2,
         )
     qs = list(range(rank_f + 1))
-    profiles = parallel_map(lambda q: cohomology(_column_expr(e, f, q), ctx), qs, jobs)
+    profiles = parallel_map(lambda q: cohomology(_column_expr(e, f, q), ctx), qs)
     return KoszulTable(ctx, e, f, rank_f, dict(zip(qs, profiles)))
 
 

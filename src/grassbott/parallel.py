@@ -1,17 +1,15 @@
-"""Deterministic fan-out helper.
+"""Serial fan-out over independent items, in input order.
 
-Results are returned in input order, so output never depends on the
-worker count; all library computations stay pure.
+The scans and :func:`grassbott.koszul.build_table` map their per-degree
+work through :func:`parallel_map` rather than a list comprehension
+because perfbench's tracer wraps this function as its ``parallel.map``
+layer, and ``BENCHMARK.json`` names five metrics of that layer.  Threads
+did not speed up the pure-Python scans (the interpreter lock serialises
+them), so the map is serial.  Delete this module only together with a
+benchmark change that retires the ``parallel.map`` metrics; without the
+module the tracer reports them as null.
 """
 
-from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-
-def parallel_map(fn, items, jobs: int = 1) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items) -> list:
+    return [fn(x) for x in items]

@@ -504,22 +504,32 @@ _store = None
 
 
 def set_store(store) -> None:
-    """Attach a persistent cache (see :mod:`grassbott.cache`) consulted by
-    :func:`evaluate` and :func:`grassbott.bott.cohomology`; pass None to
-    detach."""
+    """Attach a persistent cache (see :mod:`grassbott.cache`); pass None to
+    detach.
+
+    :func:`evaluate` and :func:`grassbott.bott.cohomology` reach the store
+    only through :func:`_through_store`, the one place that knows the key
+    format (``"<ctx>|<expression text>"``) and when the store is read and
+    written.  A detached run computes directly and builds no keys or JSON
+    values."""
     global _store
     _store = store
 
 
-def _store_get(operation: str, key: str):
-    if _store is None:
-        return None
-    return _store.get(operation, key)
-
-
-def _store_put(operation: str, key: str, value) -> None:
-    if _store is not None:
-        _store.put(operation, key, value)
+def _through_store(operation: str, e: ex.Expr, ctx: GrassContext, compute, dump, load):
+    """``compute()``, read from and written back to the attached store
+    under ``operation`` and the key of ``(e, ctx)``; ``dump`` turns a
+    result into the stored JSON value and ``load`` turns it back."""
+    store = _store
+    if store is None:
+        return compute()
+    key = f"{ctx}|{ex.to_text(e)}"
+    cached = store.get(operation, key)
+    if cached is not None:
+        return load(cached)
+    result = compute()
+    store.put(operation, key, dump(result))
+    return result
 
 
 def _atom_weight(e: ex.Expr, ctx: GrassContext) -> BlockWeight:
@@ -537,13 +547,14 @@ def _atom_weight(e: ex.Expr, ctx: GrassContext) -> BlockWeight:
 
 @lru_cache(maxsize=None)
 def _evaluate(e: ex.Expr, ctx: GrassContext) -> Decomposition:
-    key = f"{ctx}|{ex.to_text(e)}"
-    cached = _store_get("evaluate", key)
-    if cached is not None:
-        return Decomposition.from_json(cached)
-    result = _evaluate_node(e, ctx)
-    _store_put("evaluate", key, result.to_json())
-    return result
+    return _through_store(
+        "evaluate",
+        e,
+        ctx,
+        lambda: _evaluate_node(e, ctx),
+        Decomposition.to_json,
+        Decomposition.from_json,
+    )
 
 
 def _evaluate_node(e: ex.Expr, ctx: GrassContext) -> Decomposition:

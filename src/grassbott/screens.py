@@ -208,11 +208,6 @@ def find_witnesses_41(
     return out
 
 
-def find_witness_41(ctx: GrassContext, beta) -> ConditionWitness | None:
-    wits = find_witnesses_41(ctx, beta)
-    return wits[0] if wits else None
-
-
 def find_witnesses_5(
     ctx: GrassContext, beta, system: str, include_fano_line: bool = True
 ) -> list[ConditionWitness]:
@@ -276,11 +271,6 @@ def find_witnesses_5(
                     continue
             out.append(ConditionWitness(system, s, None, w, bound))
     return out
-
-
-def find_witness_5(ctx: GrassContext, beta, system: str) -> ConditionWitness | None:
-    wits = find_witnesses_5(ctx, beta, system)
-    return wits[0] if wits else None
 
 
 # ---------------------------------------------------------------------------

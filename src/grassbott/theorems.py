@@ -146,7 +146,7 @@ def _wedge_dual(f: ex.Expr, p: int) -> ex.Expr:
     return ex.Wedge(p, ex.Dual(f))
 
 
-def scan_normality(ctx: GrassContext, f: ex.Expr, jobs: int = 1):
+def scan_normality(ctx: GrassContext, f: ex.Expr):
     """Scan H^p((wedge^p F*)(r)) over p in [1, rank F], r in [0, p*b_max]."""
     weights = _summand_weights(ctx, f)
     rank_f = evaluate(f, ctx).rank()
@@ -177,13 +177,13 @@ def scan_normality(ctx: GrassContext, f: ex.Expr, jobs: int = 1):
                 witnesses.append(ScanWitness("thm1", p, r, dims[r], twisted))
         return checks, witnesses
 
-    results = parallel_map(scan_p, range(1, rank_f + 1), jobs)
+    results = parallel_map(scan_p, range(1, rank_f + 1))
     checks = [c for cs, _ in results for c in cs]
     witnesses = [w for _, ws in results for w in ws]
     return checks, witnesses
 
 
-def scan_deformation(ctx: GrassContext, f: ex.Expr, jobs: int = 1):
+def scan_deformation(ctx: GrassContext, f: ex.Expr):
     """Scan the two vanishing families behind the deformation theorem."""
     rank_f = evaluate(f, ctx).rank()
 
@@ -202,7 +202,7 @@ def scan_deformation(ctx: GrassContext, f: ex.Expr, jobs: int = 1):
             witnesses.append(ScanWitness("5.1b", p, None, dim, contrib))
         return checks, witnesses
 
-    results = parallel_map(scan_p, range(0, rank_f + 1), jobs)
+    results = parallel_map(scan_p, range(0, rank_f + 1))
     checks = [c for cs, _ in results for c in cs]
     witnesses = [w for _, ws in results for w in ws]
     return checks, witnesses
@@ -221,7 +221,7 @@ def _verdict(screen_rep: ScreenReport, witnesses) -> str:
     return "pass" if not witnesses else "fail"
 
 
-def _normality_verdict(ctx, f, witnesses, jobs) -> tuple[bool | None, list]:
+def _normality_verdict(ctx, f, witnesses) -> tuple[bool | None, list]:
     """Projective normality via the ideal-sheaf target: sound in both
     directions, with None when differentials leave the question open."""
     notes = []
@@ -230,7 +230,7 @@ def _normality_verdict(ctx, f, witnesses, jobs) -> tuple[bool | None, list]:
         return True, notes
     undecided = False
     for r in twists:
-        verdict = analyze(build_table(ex.Line(r), f, ctx, jobs), TargetKind.IDEAL, 1)
+        verdict = analyze(build_table(ex.Line(r), f, ctx), TargetKind.IDEAL, 1)
         if verdict.kind == "exact":
             notes.append(f"H^1 of the twisted ideal sheaf at r={r} is {verdict.dim}")
             return False, notes
@@ -242,9 +242,9 @@ def _normality_verdict(ctx, f, witnesses, jobs) -> tuple[bool | None, list]:
     return (None, notes) if undecided else (True, notes)
 
 
-def _connected_h0(ctx, f, jobs) -> tuple[str | None, list]:
+def _connected_h0(ctx, f) -> tuple[str | None, list]:
     notes = []
-    verdict = analyze(build_table(ex.Line(0), f, ctx, jobs), TargetKind.RESTRICTION, 0)
+    verdict = analyze(build_table(ex.Line(0), f, ctx), TargetKind.RESTRICTION, 0)
     if verdict.kind == "vanishes":
         return "0", notes
     if verdict.kind == "exact":
@@ -256,7 +256,7 @@ def _connected_h0(ctx, f, jobs) -> tuple[str | None, list]:
     return None, notes
 
 
-def check_theorem1(ctx: GrassContext, f: ex.Expr, jobs: int = 1) -> TheoremReport:
+def check_theorem1(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
     """Scan the projective-normality criterion for F (a globally
     generated sum of one irreducible bundle and line bundles)."""
     weights = _summand_weights(ctx, f)
@@ -267,7 +267,7 @@ def check_theorem1(ctx: GrassContext, f: ex.Expr, jobs: int = 1) -> TheoremRepor
         notes.append(
             "F has more than one non-line-bundle summand; scan is exploratory"
         )
-    checks, witnesses = scan_normality(ctx, f, jobs)
+    checks, witnesses = scan_normality(ctx, f)
     witnesses = _sort_witnesses(witnesses)
     report = TheoremReport(
         ctx=ctx,
@@ -279,21 +279,21 @@ def check_theorem1(ctx: GrassContext, f: ex.Expr, jobs: int = 1) -> TheoremRepor
         witnesses=witnesses,
         notes=notes,
     )
-    normal, n_notes = _normality_verdict(ctx, f, witnesses, jobs)
+    normal, n_notes = _normality_verdict(ctx, f, witnesses)
     report.projectively_normal = normal
     report.notes.extend(n_notes)
     if screen_rep.dim_x > 0:
-        h0, h_notes = _connected_h0(ctx, f, jobs)
+        h0, h_notes = _connected_h0(ctx, f)
         report.connected_h0 = h0
         report.notes.extend(h_notes)
     return report
 
 
-def check_theorem2(ctx: GrassContext, f: ex.Expr, jobs: int = 1) -> TheoremReport:
+def check_theorem2(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
     """Scan the deformation criterion for F."""
     weights = _summand_weights(ctx, f)
     screen_rep = screen(ctx, weights)
-    checks, witnesses = scan_deformation(ctx, f, jobs)
+    checks, witnesses = scan_deformation(ctx, f)
     witnesses = _sort_witnesses(witnesses)
     return TheoremReport(
         ctx=ctx,
@@ -306,7 +306,7 @@ def check_theorem2(ctx: GrassContext, f: ex.Expr, jobs: int = 1) -> TheoremRepor
     )
 
 
-def check_theorem3(ctx: GrassContext, summands, jobs: int = 1) -> TheoremReport:
+def check_theorem3(ctx: GrassContext, summands) -> TheoremReport:
     """Run both scans on a fully reducible F given as a list of
     expressions.  The Picard-group hypothesis is the caller's
     declaration and is not verified here."""
@@ -324,8 +324,8 @@ def check_theorem3(ctx: GrassContext, summands, jobs: int = 1) -> TheoremReport:
             "for dim X = 4",
             stacklevel=2,
         )
-    checks1, wit1 = scan_normality(ctx, f, jobs)
-    checks2, wit2 = scan_deformation(ctx, f, jobs)
+    checks1, wit1 = scan_normality(ctx, f)
+    checks2, wit2 = scan_deformation(ctx, f)
     witnesses = _sort_witnesses(wit1 + wit2)
     report = TheoremReport(
         ctx=ctx,
@@ -367,7 +367,7 @@ class CrossReport:
         }
 
 
-def cross_validate(ctx: GrassContext, beta, jobs: int = 1) -> CrossReport:
+def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     """Compare every full-scan failure with the condition-system
     witnesses and vice versa; mismatches are reported verbatim, never
     resolved."""
@@ -378,8 +378,8 @@ def cross_validate(ctx: GrassContext, beta, jobs: int = 1) -> CrossReport:
     k, n = ctx.k, ctx.n
     step = n - k
 
-    _, thm1_failures = scan_normality(ctx, f, jobs)
-    _, def_failures = scan_deformation(ctx, f, jobs)
+    _, thm1_failures = scan_normality(ctx, f)
+    _, def_failures = scan_deformation(ctx, f)
     fail_a = [w for w in def_failures if w.group == "5.1a"]
     fail_b = [w for w in def_failures if w.group == "5.1b"]
 
@@ -401,76 +401,60 @@ def cross_validate(ctx: GrassContext, beta, jobs: int = 1) -> CrossReport:
         ctx, beta, "b", include_fano_line=False
     ) + find_witnesses_5(ctx, beta, "b'", include_fano_line=False)
 
-    def b_index(w) -> int:
-        # wedge index probed by a system-b/b' witness
-        return w.s * step - (1 if w.system == "b" else 2)
+    def key(w) -> tuple:
+        # the scan group a witness predicts: the wedge index p it probes
+        # and, for system 4.1, the twist r (None for the other systems,
+        # as for the 5.1 scan groups)
+        return w.s * step - {"b": 1, "b'": 2}.get(w.system, 0), w.r
 
-    for fw in thm1_failures:
-        if fw.p % step == 0 and any(
-            w.s * step == fw.p and w.r == fw.r for w in strict41
-        ):
-            report.matches.append(f"thm1 failure (p={fw.p}, r={fw.r}) <-> system 4.1")
-            continue
-        probe = next(
-            (w for w in relaxed41 if w.s * step == fw.p and w.r == fw.r), None
-        )
-        extra = (
-            f"; weight {probe.weight} satisfies the chain except the Fano-range "
-            f"line b_1 <= n-1 = {n - 1}"
-            if probe
-            else ""
-        )
-        report.mismatches.append(
-            f"scan failure thm1 (p={fw.p}, r={fw.r}, dim={fw.dim}) has no "
-            f"system-4.1 witness as displayed{extra}"
-        )
-    for w in strict41:
-        if not any(fw.p == w.s * step and fw.r == w.r for fw in thm1_failures):
-            report.mismatches.append(
-                f"system-4.1 witness (s={w.s}, r={w.r}, weight={w.weight}) "
-                "has no matching scan failure"
-            )
-
-    for fw in fail_a:
-        if any(w.s * step == fw.p for w in strict_a):
-            report.matches.append(f"5.1a failure (p={fw.p}) <-> system a")
-            continue
-        probe = next((w for w in relaxed_a if w.s * step == fw.p), None)
-        extra = (
-            f"; weight {probe.weight} satisfies the chain except the Fano-range line"
-            if probe
-            else ""
-        )
-        report.mismatches.append(
-            f"scan failure 5.1a (p={fw.p}, dim={fw.dim}) has no system-a witness "
-            f"as displayed{extra}"
-        )
-    for w in strict_a:
-        if not any(fw.p == w.s * step for fw in fail_a):
-            report.mismatches.append(
-                f"system-a witness (s={w.s}, weight={w.weight}) has no matching "
-                "5.1a scan failure"
-            )
-
-    for fw in fail_b:
-        if any(b_index(w) == fw.p for w in strict_b):
-            report.matches.append(f"5.1b failure (wedge p={fw.p}) <-> system b/b'")
-            continue
-        probe = next((w for w in relaxed_b if b_index(w) == fw.p), None)
-        extra = (
-            f"; weight {probe.weight} satisfies system {probe.system} except the "
-            "Fano-range line"
-            if probe
-            else ""
-        )
-        report.mismatches.append(
-            f"scan failure 5.1b (wedge p={fw.p}, dim={fw.dim}) has no system-b/b' "
-            f"witness as displayed{extra}"
-        )
-    for w in strict_b:
-        if not any(fw.p == b_index(w) for fw in fail_b):
-            report.mismatches.append(
-                f"system-{w.system} witness (s={w.s}, weight={w.weight}) has no "
-                "matching 5.1b scan failure"
-            )
+    # per pairing: scan failures, strict and relaxed witnesses, then the
+    # texts for a match, an unmatched failure, the relaxed probe shown
+    # with it, and a witness without a failure
+    rows = (
+        (
+            thm1_failures,
+            strict41,
+            relaxed41,
+            lambda fw: f"thm1 failure (p={fw.p}, r={fw.r}) <-> system 4.1",
+            lambda fw: f"scan failure thm1 (p={fw.p}, r={fw.r}, dim={fw.dim}) has no "
+            "system-4.1 witness as displayed",
+            lambda w: f"; weight {w.weight} satisfies the chain except the Fano-range "
+            f"line b_1 <= n-1 = {n - 1}",
+            lambda w: f"system-4.1 witness (s={w.s}, r={w.r}, weight={w.weight}) "
+            "has no matching scan failure",
+        ),
+        (
+            fail_a,
+            strict_a,
+            relaxed_a,
+            lambda fw: f"5.1a failure (p={fw.p}) <-> system a",
+            lambda fw: f"scan failure 5.1a (p={fw.p}, dim={fw.dim}) has no system-a "
+            "witness as displayed",
+            lambda w: f"; weight {w.weight} satisfies the chain except the Fano-range "
+            "line",
+            lambda w: f"system-a witness (s={w.s}, weight={w.weight}) has no matching "
+            "5.1a scan failure",
+        ),
+        (
+            fail_b,
+            strict_b,
+            relaxed_b,
+            lambda fw: f"5.1b failure (wedge p={fw.p}) <-> system b/b'",
+            lambda fw: f"scan failure 5.1b (wedge p={fw.p}, dim={fw.dim}) has no "
+            "system-b/b' witness as displayed",
+            lambda w: f"; weight {w.weight} satisfies system {w.system} except the "
+            "Fano-range line",
+            lambda w: f"system-{w.system} witness (s={w.s}, weight={w.weight}) has no "
+            "matching 5.1b scan failure",
+        ),
+    )
+    for failures, strict, relaxed, matched, unmatched, probed, orphan in rows:
+        for fw in failures:
+            if any(key(w) == (fw.p, fw.r) for w in strict):
+                report.matches.append(matched(fw))
+                continue
+            probe = next((w for w in relaxed if key(w) == (fw.p, fw.r)), None)
+            report.mismatches.append(unmatched(fw) + (probed(probe) if probe else ""))
+        failed = {(fw.p, fw.r) for fw in failures}
+        report.mismatches.extend(orphan(w) for w in strict if key(w) not in failed)
     return report

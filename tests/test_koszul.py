@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from grassbott import expr as ex
+from grassbott.bott import cohomology
 from grassbott.errors import StructureError
 from grassbott.koszul import (
     KoszulTable,
@@ -134,8 +135,6 @@ def test_restriction_column_zero_reproduces_ambient_cohomology():
     ctx = GrassContext(2, 5)
     e = ex.Line(1)
     table = build_table(e, ex.Line(1), ctx)
-    from grassbott.bott import cohomology
-
     ambient = cohomology(e, ctx)
     if all(not table.columns[q] for q in range(1, table.rank_f + 1)):
         for i in range(ctx.dimension + 1):
@@ -189,8 +188,12 @@ def test_classical_line_counts():
     assert euler_restriction(ex.Line(0), ex.Sym(3, ex.Q), GrassContext(2, 5)) == 6
 
 
-def test_build_table_jobs_deterministic():
-    ctx = GrassContext(2, 5)
-    one = build_table(ex.Line(2), ex.Sym(3, ex.Q), ctx, jobs=1)
-    four = build_table(ex.Line(2), ex.Sym(3, ex.Q), ctx, jobs=4)
-    assert one.columns == four.columns
+def test_build_table_columns_in_q_order():
+    # the thm1 sum instance: column q is H^*(wedge^q F*) and h0(O_X) = 1
+    ctx = GrassContext(2, 6)
+    f = ex.DirectSum(ex.Sym(2, ex.Q), ex.Line(1))
+    table = build_table(ex.Line(0), f, ctx)
+    assert list(table.columns) == list(range(table.rank_f + 1))
+    for q, profile in table.columns.items():
+        assert profile == cohomology(ex.Tensor(ex.Line(0), ex.Wedge(q, ex.Dual(f))), ctx)
+    assert analyze(table, TargetKind.RESTRICTION, 0) == Verdict.exact(1)

@@ -6,8 +6,6 @@ from grassbott.dims import sl_dim
 from grassbott.errors import DomainError, StructureError
 from grassbott.screens import (
     enumerate_lemma54,
-    find_witness_41,
-    find_witness_5,
     find_witnesses_41,
     find_witnesses_5,
     screen,
@@ -55,7 +53,7 @@ def test_screen_input_validation():
 
 
 def test_witness_41_rank_one_bundle():
-    assert find_witness_41(CTX25, (1, 1)) is None
+    assert find_witnesses_41(CTX25, (1, 1)) == []
 
 
 def test_witness_41_displayed_chain_misses_counterexample():
@@ -63,7 +61,7 @@ def test_witness_41_displayed_chain_misses_counterexample():
     # chain includes the Fano-range line b_1 <= n-1 which the weight
     # (6,3) violates; the strict search therefore returns nothing and
     # the relaxed probe exhibits the triple (s=1, r=2, (6,3))
-    assert find_witness_41(CTX25, (3, 0)) is None
+    assert find_witnesses_41(CTX25, (3, 0)) == []
     relaxed = find_witnesses_41(CTX25, (3, 0), include_fano_line=False)
     assert [(w.s, w.r, w.weight) for w in relaxed] == [(1, 2, (6, 3))]
 
@@ -85,11 +83,11 @@ def test_witness_41_k2_forces_s1_r0():
 
 
 def test_witness_5_examples():
-    assert find_witness_5(CTX25, (1, 1), "a") is None
-    assert find_witness_5(CTX25, (1, 1), "b") is None
-    assert find_witness_5(CTX25, (1, 1), "b'") is None
+    assert find_witnesses_5(CTX25, (1, 1), "a") == []
+    assert find_witnesses_5(CTX25, (1, 1), "b") == []
+    assert find_witnesses_5(CTX25, (1, 1), "b'") == []
     with pytest.raises(StructureError):
-        find_witness_5(CTX25, (1, 1), "c")
+        find_witnesses_5(CTX25, (1, 1), "c")
 
 
 def test_witness_5_pair_type_never_satisfies_b():

@@ -60,17 +60,6 @@ def test_theorem1_sum_with_line_bundles():
     assert report.connected_h0 == "1"
 
 
-def test_scan_jobs_deterministic():
-    ctx = GrassContext(2, 5)
-    f = ex.Sym(3, ex.Q)
-    one = check_theorem1(ctx, f, jobs=1)
-    four = check_theorem1(ctx, f, jobs=4)
-    assert [w.to_json() for w in one.witnesses] == [
-        w.to_json() for w in four.witnesses
-    ]
-    assert one.to_json() == four.to_json()
-
-
 def test_theorem1_fail_only_at_r0_is_still_normal():
     # the two-component case: the only failing twist is r=0, so the
     # projective-normality verdict is unaffected
