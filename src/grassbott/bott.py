@@ -1,17 +1,14 @@
 """Exact cohomology of fully reducible homogeneous bundles.
 
-For an irreducible bundle the length-n weight is shifted by
-(n, n-1, ..., 1); a repeated entry kills all cohomology, and otherwise
-exactly one group survives, in the degree given by the number of
-inversions, with dimension the Weyl dimension of the sorted shifted
-weight re-centered by the same shift.
-
-The theorem scans ask for one degree at a time, so Bott is split in
-two steps on plain entry tuples: :func:`bott_degree` finds the surviving
-degree (or that nothing survives) from the inversion count alone, and
-:func:`bott_dim` computes the Weyl dimension only for the groups a scan
-keeps.  :func:`bott_irreducible` is both steps on a validated weight and
-stays the reference.
+Bott's theorem for an irreducible bundle is one Weyl-group
+straightening of its concatenated length-n weight
+(:func:`grassbott.dims.straighten`): a repeated rho-shifted entry kills
+all cohomology, and otherwise exactly one group survives, in the degree
+given by the length of the straightening, with dimension the Weyl
+dimension of the dominant weight it returns.  The theorem scans call
+the straightening directly on plain entry tuples and ask for the Weyl
+dimension only for the groups they keep; :func:`bott_irreducible` is the
+same step on a validated weight and stays the reference.
 
 A cohomology profile is a plain dict {degree: dimension} with absent
 keys meaning zero.
@@ -22,65 +19,31 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import expr as ex
-from .dims import sl_dim
+from .dims import sl_dim, straighten
 from .errors import DomainError
 from .schur import Decomposition, _through_store, evaluate
-from .weights import FullWeight, GrassContext, full_weight
+from .weights import BlockWeight, GrassContext
 
 
-def rho(n: int) -> tuple:
-    """The shift vector (n, n-1, ..., 1)."""
-    return tuple(range(n, 0, -1))
-
-
-def bott_degree(entries: tuple) -> tuple[int, tuple] | None:
-    """Degree step of Bott on the concatenated entries of a block-dominant
-    weight: None when the rho-shifted vector has a repeated entry (all
-    cohomology vanishes), otherwise its inversion count, the one degree
-    that survives, together with the shifted vector for :func:`bott_dim`."""
-    n = len(entries)
-    alpha = tuple(n - i + x for i, x in enumerate(entries))
-    if len(set(alpha)) < n:
-        return None
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alpha[i] < alpha[j]:
-                inversions += 1
-    return inversions, alpha
-
-
-def bott_dim(alpha: tuple) -> int:
-    """Dimension of the surviving group, from the shifted vector returned
-    by :func:`bott_degree`: the Weyl dimension of the sorted vector
-    re-centred by rho."""
-    n = len(alpha)
-    lam = sorted(alpha, reverse=True)
-    return sl_dim(tuple(lam[i] - (n - i) for i in range(n)))
-
-
-def bott_irreducible(fw: FullWeight) -> dict[int, int]:
+def bott_irreducible(w: BlockWeight) -> dict[int, int]:
     """Cohomology profile of the irreducible bundle with highest weight
-    ``fw``; at most one degree is nonzero."""
-    if not fw.blocks().is_dominant():
-        raise DomainError(f"weight {fw.entries} is not dominant per block")
-    found = bott_degree(fw.entries)
+    ``w``; at most one degree is nonzero."""
+    entries = w.first + w.second
+    if not w.is_dominant():
+        raise DomainError(f"weight {entries} is not dominant per block")
+    found = straighten(entries)
     if found is None:
         return {}
-    degree, alpha = found
-    return {degree: bott_dim(alpha)}
-
-
-def profile_add(acc: dict[int, int], profile: dict[int, int], mult: int = 1) -> None:
-    for p, d in profile.items():
-        acc[p] = acc.get(p, 0) + mult * d
+    length, dominant = found
+    return {length: sl_dim(dominant)}
 
 
 def cohomology_of(d: Decomposition) -> dict[int, int]:
     """Pointwise sum of irreducible profiles over a decomposition."""
     acc: dict[int, int] = {}
     for w, m in d.items():
-        profile_add(acc, bott_irreducible(full_weight(w)), m)
+        for p, dim in bott_irreducible(w).items():
+            acc[p] = acc.get(p, 0) + m * dim
     return acc
 
 

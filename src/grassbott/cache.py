@@ -5,22 +5,22 @@ SHA-256 of (schema version, operation, canonical key).  Writes go to a
 temp file in the same directory followed by an atomic rename, so
 concurrent writers of the same key converge to one valid entry and
 readers never observe partial writes.  Corrupt or mismatched entries
-are treated as misses.
+are treated as misses.  Problems with the store never fail a
+computation: they are reported through :func:`warnings.warn` and the
+store falls back to misses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 ENV_VAR = "GBK_CACHE_DIR"
-
-log = logging.getLogger(__name__)
 
 
 def default_cache_dir() -> Path:
@@ -41,7 +41,7 @@ class Store:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as err:
-            log.warning("cache disabled: cannot create %s (%s)", self.root, err)
+            warnings.warn(f"cache disabled: cannot create {self.root} ({err})")
             self._disabled = True
 
     def _path(self, operation: str, key: str) -> Path:
@@ -60,7 +60,7 @@ class Store:
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError) as err:
-            log.warning("corrupt cache entry %s ignored (%s)", path.name, err)
+            warnings.warn(f"corrupt cache entry {path.name} ignored ({err})")
             return None
         if (
             not isinstance(entry, dict)
@@ -94,5 +94,5 @@ class Store:
                     pass
                 raise
         except OSError as err:
-            log.warning("cache disabled: cannot write %s (%s)", path.name, err)
+            warnings.warn(f"cache disabled: cannot write {path.name} ({err})")
             self._disabled = True

@@ -1,4 +1,6 @@
-"""Exact rank and dimension formulas for irreducible representations.
+"""Exact rank and dimension formulas for irreducible representations,
+and the Weyl-group straightening that Bott's theorem and the
+Racah-Speiser decomposition share.
 
 Everything here is integer arithmetic: each Weyl-product factor is
 accumulated as a numerator/denominator pair with a gcd reduction per
@@ -6,6 +8,13 @@ step, and the final division is checked exact.  The product is
 memoised on the weight shifted so that its last entry is 0 (a bounded
 table: the criterion-4 sweep needs 69 entries); the input checks run
 before the lookup, on every call.
+
+:func:`straighten` adds rho = (n, n-1, ..., 1) to a weight of GL(n),
+gives up on a repeated entry, and otherwise sorts the shifted vector,
+counting the inversions of the sort (the length of the Weyl-group
+element that makes it dominant).  :mod:`grassbott.bott` reads the
+length as the cohomological degree; :mod:`grassbott.schur` reads its
+parity, one block at a time, as the Racah-Speiser sign.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError
-from .weights import BlockWeight
+from .weights import BlockWeight, nonincreasing
 
 
 def sl_dim(entries, n: int | None = None) -> int:
@@ -29,11 +38,31 @@ def sl_dim(entries, n: int | None = None) -> int:
         n = len(lam)
     if len(lam) != n:
         raise DomainError(f"weight has length {len(lam)}, expected {n}")
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+    if not nonincreasing(lam):
         raise DomainError(f"weight {lam} is not nonincreasing")
     if n == 0:
         return 1
     return _weyl_product(tuple(x - lam[-1] for x in lam))
+
+
+def straighten(entries: tuple) -> tuple[int, tuple] | None:
+    """Weyl-group straightening of a weight of GL(n).
+
+    None when ``entries + rho`` has a repeated entry; otherwise
+    ``(length, dominant)`` with ``dominant + rho = sort(entries + rho)``
+    (nonincreasing) and ``length`` the number of inversions of that sort.
+    """
+    n = len(entries)
+    shifted = [x + n - i for i, x in enumerate(entries)]
+    if len(set(shifted)) < n:
+        return None
+    length = 0
+    for i, a in enumerate(shifted):
+        for b in shifted[i + 1 :]:
+            if a < b:
+                length += 1
+    shifted.sort(reverse=True)
+    return length, tuple(x - n + i for i, x in enumerate(shifted))
 
 
 @lru_cache(maxsize=4096)

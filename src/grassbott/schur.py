@@ -7,9 +7,10 @@ Two independent routes are kept for the plethysm operations:
   prod_w (1 + t x^w) (exterior powers) or prod_w 1/(1 - t x^w)
   (symmetric powers) over the weight multiset, one weight at a time
   like a 0/1 or an unbounded knapsack, and decomposes the degree-p
-  coefficient by Racah-Speiser straightening: per block, add rho, drop
-  the weight on a repeated entry, otherwise sort, subtract rho and
-  count it with the sign of the sort;
+  coefficient by Racah-Speiser straightening: each block goes through
+  :func:`grassbott.dims.straighten`, a repeated rho-shifted entry drops
+  the weight, and otherwise it counts towards the dominant weight with
+  the sign of the parity of the two blocks' lengths;
 * the *oracle* backend enumerates subsets of the weight multiset and
   peels highest weights one irreducible character at a time.
 
@@ -29,20 +30,16 @@ from math import comb
 from types import MappingProxyType
 
 from . import expr as ex
-from .dims import block_rank
+from .dims import block_rank, straighten
 from .errors import (
     DomainError,
     NotACharacterError,
     OracleBudgetError,
     StructureError,
 )
-from .weights import BlockWeight, GrassContext, dual_weight, twist
+from .weights import BlockWeight, GrassContext, dual_weight, nonincreasing, twist
 
 ORACLE_BUDGET = 10**6
-
-
-def _dominant(t: tuple) -> bool:
-    return all(t[i] >= t[i + 1] for i in range(len(t) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +58,7 @@ def _gt_character(lam: tuple):
     k = len(lam)
     if k == 0:
         return MappingProxyType({(): 1})
-    if not _dominant(lam):
+    if not nonincreasing(lam):
         raise DomainError(f"highest weight {lam} is not nonincreasing")
     shift = min(lam[-1], 0)
     top = tuple(x - shift for x in lam)
@@ -101,7 +98,7 @@ def _peel(table: dict, k: int) -> dict[tuple, int]:
         top = max(rem)
         c = rem[top]
         first, second = top[:k], top[k:]
-        if c < 0 or not (_dominant(first) and _dominant(second)):
+        if c < 0 or not (nonincreasing(first) and nonincreasing(second)):
             raise NotACharacterError(
                 f"peeling hit weight {top} with multiplicity {c}"
             )
@@ -198,33 +195,17 @@ def _pair_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _straighten(block: tuple):
-    """Racah-Speiser step for one block: ``(sign, dominant)`` with
-    ``dominant + rho = sort(block + rho)`` and ``sign`` the parity of
-    that sort, or None when ``block + rho`` has a repeated entry."""
-    b = len(block)
-    shifted = [x + b - 1 - i for i, x in enumerate(block)]
-    if len(set(shifted)) < b:
-        return None
-    inversions = sum(
-        1 for i in range(b) for j in range(i + 1, b) if shifted[i] < shifted[j]
-    )
-    shifted.sort(reverse=True)
-    dominant = tuple(x - (b - 1 - i) for i, x in enumerate(shifted))
-    return (-1 if inversions % 2 else 1), dominant
-
-
 def _racah_speiser(char: dict, k: int) -> dict:
     """Decompose a Weyl-group-invariant two-block character (keys are
     concatenated length-n weights) into dominant highest weights by
     straightening every weight, one block at a time."""
     out: dict = {}
     for w, m in char.items():
-        s1, s2 = _straighten(w[:k]), _straighten(w[k:])
+        s1, s2 = straighten(w[:k]), straighten(w[k:])
         if s1 is None or s2 is None:
             continue
         key = s1[1] + s2[1]
-        nv = out.get(key, 0) + s1[0] * s2[0] * m
+        nv = out.get(key, 0) + (-m if (s1[0] + s2[0]) % 2 else m)
         if nv:
             out[key] = nv
         else:
@@ -324,9 +305,6 @@ class Decomposition:
 
     def items(self):
         return self.table.items()
-
-    def mult(self, w: BlockWeight) -> int:
-        return self.table.get(w, 0)
 
     def __len__(self) -> int:
         return len(self.table)

@@ -112,14 +112,6 @@ class ConditionWitness:
     weight: tuple
     bound_holds: bool | None
 
-    def to_json(self) -> dict:
-        data = {"system": self.system, "s": self.s, "weight": list(self.weight)}
-        if self.r is not None:
-            data["r"] = self.r
-        if self.bound_holds is not None:
-            data["bound_holds"] = self.bound_holds
-        return data
-
 
 def _require_irreducible(ctx: GrassContext, beta) -> BlockWeight:
     if not isinstance(beta, BlockWeight):

@@ -10,13 +10,16 @@ dual weight is dominant as a full vector and only degree zero can
 survive; the margin property test exercises this bound.
 
 wedge^p F* is decomposed once per p, and each summand is walked along
-its twists on plain entry tuples.  Twisting by r adds r to every entry
-of the k-block.  Within a block the rho-shifted entries are strictly
-decreasing, so the Bott degree is the number of pairs (i, j) with
-a_i + r < b_j, a for the shifted k-block and b for the shifted
-(n-k)-block, and it never increases with r.  A summand therefore stops
-its walk at the first twist whose degree is below p, and only the
-summands that meet H^p are turned into twisted weights.
+its twists on plain entry tuples, with Bott's theorem applied as
+:func:`grassbott.dims.straighten` (the degree is its length) and
+:func:`grassbott.dims.sl_dim` (only for the groups a scan keeps).
+Twisting by r adds r to every entry of the k-block.  Within a block
+the rho-shifted entries are strictly decreasing, so the Bott degree is
+the number of pairs (i, j) with a_i + r < b_j, a for the shifted
+k-block and b for the shifted (n-k)-block, and it never increases with
+r.  A summand therefore stops its walk at the first twist whose degree
+is below p, and only the summands that meet H^p are turned into
+twisted weights.
 
 The second scan checks H^p(Gr, F (x) wedge^p F*) = 0 for p >= 1 and
 H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.
@@ -28,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .bott import bott_degree, bott_dim
+from .dims import sl_dim, straighten
 from .errors import StructureError
 from .koszul import TargetKind, analyze, build_table
 from .parallel import parallel_map
@@ -135,9 +138,9 @@ def _group_profile(ctx: GrassContext, e: ex.Expr, degree: int):
     dim = 0
     contributing = []
     for w, m in evaluate(e, ctx).items():
-        found = bott_degree(w.first + w.second)
+        found = straighten(w.first + w.second)
         if found is not None and found[0] == degree:
-            dim += m * bott_dim(found[1])
+            dim += m * sl_dim(found[1])
             contributing.append(w)
     return dim, tuple(sorted(contributing, key=lambda w: w.canonical()))
 
@@ -158,14 +161,14 @@ def scan_normality(ctx: GrassContext, f: ex.Expr):
         contrib = [[] for _ in twists]
         for w, m in evaluate(_wedge_dual(f, p), ctx).items():
             for r in twists:
-                found = bott_degree(tuple(x + r for x in w.first) + w.second)
+                found = straighten(tuple(x + r for x in w.first) + w.second)
                 if found is None:
                     continue
-                degree, alpha = found
+                degree, dominant = found
                 if degree < p:
                     break
                 if degree == p:
-                    dims[r] += m * bott_dim(alpha)
+                    dims[r] += m * sl_dim(dominant)
                     contrib[r].append(w)
         checks, witnesses = [], []
         for r in twists:

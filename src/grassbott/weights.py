@@ -2,8 +2,8 @@
 
 A weight is stored split into a length-k block and a length-(n-k)
 block, matching the two factors of the reductive part of the parabolic
-subgroup.  Only the concatenated length-n form is ever handed to the
-Bott shift, via :class:`FullWeight`.
+subgroup.  Bott's theorem and global generation read the two blocks
+concatenated into one length-n tuple, ``w.first + w.second``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,12 @@ class GrassContext:
         return f"{self.k},{self.n}"
 
 
-def _nonincreasing(t: tuple) -> bool:
-    return all(t[i] >= t[i + 1] for i in range(len(t) - 1))
+def nonincreasing(t: tuple) -> bool:
+    """True when the entries of ``t`` never increase."""
+    for i in range(len(t) - 1):
+        if t[i] < t[i + 1]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class BlockWeight:
 
     def is_dominant(self) -> bool:
         """True when both blocks are nonincreasing."""
-        return _nonincreasing(self.first) and _nonincreasing(self.second)
+        return nonincreasing(self.first) and nonincreasing(self.second)
 
     def first_sum(self) -> int:
         """Sum of the k-block entries (the degree of the weight)."""
@@ -100,33 +104,13 @@ class BlockWeight:
         return self.canonical()
 
 
-@dataclass(frozen=True)
-class FullWeight:
-    """The concatenated length-n weight vector, the input form for the
-    Bott shift."""
-
-    ctx: GrassContext
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if len(self.entries) != self.ctx.n:
-            raise StructureError(
-                f"full weight has length {len(self.entries)}, expected n={self.ctx.n}"
-            )
-
-    def blocks(self) -> BlockWeight:
-        k = self.ctx.k
-        return BlockWeight(self.ctx, self.entries[:k], self.entries[k:])
-
-
 def is_globally_generated(w: BlockWeight) -> bool:
     """True when the concatenated length-n vector is nonincreasing.
 
     The corresponding homogeneous bundle is globally generated exactly
     in this case.
     """
-    return _nonincreasing(w.first + w.second)
+    return nonincreasing(w.first + w.second)
 
 
 def dual_weight(w: BlockWeight) -> BlockWeight:
@@ -143,7 +127,3 @@ def twist(w: BlockWeight, r: int) -> BlockWeight:
     every entry of the k-block."""
     return BlockWeight(w.ctx, tuple(x + r for x in w.first), w.second)
 
-
-def full_weight(w: BlockWeight) -> FullWeight:
-    """Concatenate the two blocks."""
-    return FullWeight(w.ctx, w.first + w.second)

@@ -1,30 +1,30 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from grassbott import expr as ex
 from grassbott.bott import (
-    bott_degree,
     bott_irreducible,
     cohomology,
     cohomology_of,
     euler_characteristic,
     profile_to_json,
 )
-from grassbott.dims import sl_dim
+from grassbott.dims import sl_dim, straighten
 from grassbott.errors import DomainError
 from grassbott.schur import evaluate
-from grassbott.weights import BlockWeight, FullWeight, GrassContext, full_weight
+from grassbott.weights import BlockWeight, GrassContext
 
 CTX = GrassContext(2, 5)
 
 
 def fw(ctx, entries):
-    return FullWeight(ctx, entries)
+    return BlockWeight(ctx, entries[: ctx.k], entries[ctx.k :])
 
 
 def test_shift_vector():
-    assert bott_degree((-1, -4, 0, 0, 0))[1] == (4, 0, 3, 2, 1)
+    assert straighten((-1, -4, 0, 0, 0)) == (3, (-1, -1, -1, -1, -1))
 
 
 def test_trivial_bundle():
@@ -49,7 +49,7 @@ def test_repeated_entry_vanishes():
 
 def test_rejects_non_dominant_blocks():
     with pytest.raises(DomainError):
-        bott_irreducible(fw(CTX, (0, 1, 0, 0, 0)))
+        bott_irreducible(BlockWeight(CTX, (0, 1), (0, 0, 0)))
 
 
 def test_dominant_full_weight_lives_in_degree_zero():
@@ -63,6 +63,34 @@ def test_dominant_full_weight_lives_in_degree_zero():
         )
         profile = bott_irreducible(fw(ctx, entries))
         assert profile == {0: sl_dim(entries)}
+
+
+def _weyl_chi(lam):
+    """The Weyl dimension polynomial at any weight: by Bott's theorem it
+    is the Euler characteristic of the bundle.  No sort, no inversion
+    count."""
+    n = len(lam)
+    chi = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            chi *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    return chi
+
+
+def test_euler_characteristic_matches_weyl_polynomial():
+    rng = random.Random(1976)
+    contexts = [GrassContext(k, n) for n in range(3, 11) for k in range(1, min(n, 6))]
+    nonzero = 0
+    for _ in range(2100):
+        ctx = rng.choice(contexts)
+        k, n = ctx.k, ctx.n
+        first = tuple(sorted((rng.randint(-n, n) for _ in range(k)), reverse=True))
+        second = tuple(sorted((rng.randint(-n, n) for _ in range(n - k)), reverse=True))
+        w = BlockWeight(ctx, first, second)
+        profile = bott_irreducible(w)
+        assert euler_characteristic(profile) == _weyl_chi(first + second), w
+        nonzero += bool(profile)
+    assert nonzero >= 1000
 
 
 def test_cohomology_examples():
@@ -86,7 +114,7 @@ def test_irreducible_single_degree():
         second = tuple(
             sorted((rng.randint(-4, 4) for _ in range(n - k)), reverse=True)
         )
-        profile = bott_irreducible(full_weight(BlockWeight(ctx, first, second)))
+        profile = bott_irreducible(BlockWeight(ctx, first, second))
         assert len(profile) <= 1
 
 

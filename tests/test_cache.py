@@ -2,6 +2,8 @@ import json
 import os
 import threading
 
+import pytest
+
 from grassbott import expr as ex
 from grassbott import schur
 from grassbott.bott import cohomology
@@ -40,7 +42,8 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     store.put("op", "k", {"x": 1})
     (entry,) = list(tmp_path.glob("*.json"))
     entry.write_text("{ not json")
-    assert store.get("op", "k") is None
+    with pytest.warns(UserWarning, match="corrupt cache entry"):
+        assert store.get("op", "k") is None
 
 
 def test_schema_version_mismatch_is_a_miss(tmp_path):
@@ -72,7 +75,8 @@ def test_concurrent_writers_leave_valid_entry(tmp_path):
 def test_unusable_directory_disables_cache(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    store = Store(blocker / "sub")  # parent is a file, mkdir fails
+    with pytest.warns(UserWarning, match="cache disabled: cannot create"):
+        store = Store(blocker / "sub")  # parent is a file, mkdir fails
     store.put("op", "k", 1)  # must not raise
     assert store.get("op", "k") is None
 

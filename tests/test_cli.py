@@ -10,20 +10,23 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, tmp_path, check=False):
+def _env(cache_dir):
     # Sparse on purpose, so the cache and stdout stay hermetic; src goes
     # first so the child runs this checkout whether or not it is installed.
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {
-        "GBK_CACHE_DIR": str(tmp_path / "cache"),
+    return {
+        "GBK_CACHE_DIR": str(cache_dir),
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": os.pathsep.join(pythonpath),
     }
+
+
+def run_cli(args, tmp_path, check=False, cache_dir=None):
     proc = subprocess.run(
         [sys.executable, "-m", "grassbott", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(cache_dir or tmp_path / "cache"),
     )
     if check and proc.returncode != 0:
         raise AssertionError(proc.stderr)
@@ -88,6 +91,33 @@ def test_warning_is_one_stderr_line(tmp_path):
     assert proc.stderr == (
         "warning: dim X = 3, the four-fold statement is stated for dim X = 4\n"
     )
+
+
+def test_unusable_cache_dir_is_one_warning_line(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    args = ["rank", "sym(3,Q)", "--grass", "2,5"]
+    proc = run_cli(args, tmp_path, cache_dir=blocker / "sub")
+    bare = run_cli(args + ["--no-cache"], tmp_path)
+    assert proc.returncode == bare.returncode == 0
+    assert proc.stdout == bare.stdout
+    (line,) = proc.stderr.splitlines()
+    assert proc.stderr == line + "\n"
+    assert line.startswith(f"warning: cache disabled: cannot create {blocker / 'sub'} (")
+
+
+def test_cli_import_leaves_out_logging_and_threads(tmp_path):
+    code = (
+        "import sys, grassbott.cli; "
+        "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_env(tmp_path / "cache"),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_euler_hilbert_screen(tmp_path):

@@ -6,13 +6,12 @@ from math import comb
 import pytest
 
 from grassbott import expr as ex
-from grassbott.dims import block_rank, sl_dim
+from grassbott.dims import block_rank, sl_dim, straighten
 from grassbott.errors import DomainError, NotACharacterError, StructureError
 from grassbott.schur import (
     Character,
     Decomposition,
     _peel,
-    _straighten,
     decompose_character,
     evaluate,
     gt_weights,
@@ -127,29 +126,33 @@ def test_peel_rejects_two_block_garbage():
 
 
 def test_straighten_repeated_entry_vanishes():
-    # w + rho has a repeated entry: (1,1), (4,4,0), (2,1,2)
-    assert _straighten((0, 1)) is None
-    assert _straighten((2, 3, 0)) is None
-    assert _straighten((0, 0, 2)) is None
-    assert _straighten((3, 1, 0)) == (1, (3, 1, 0))
-    assert _straighten(()) == (1, ())
+    # w + rho has a repeated entry: (2,2), (5,5,1), (3,2,3)
+    assert straighten((0, 1)) is None
+    assert straighten((2, 3, 0)) is None
+    assert straighten((0, 0, 2)) is None
+    assert straighten((3, 1, 0)) == (0, (3, 1, 0))
+    assert straighten(()) == (0, ())
 
 
 def test_straighten_adjacent_swap_flips_sign():
+    # an adjacent swap of block + rho is a simple reflection: it keeps
+    # the dominant weight and changes the length by exactly one
     rng = random.Random(17)
     for _ in range(60):
         b = rng.randint(2, 5)
         block = tuple(rng.randint(-3, 4) for _ in range(b))
-        got = _straighten(block)
+        got = straighten(block)
         if got is None:
             continue
-        sign, dominant = got
+        length, dominant = got
         assert all(dominant[i] >= dominant[i + 1] for i in range(b - 1))
-        shifted = [x + b - 1 - i for i, x in enumerate(block)]
+        shifted = [x + b - i for i, x in enumerate(block)]
         i = rng.randrange(b - 1)
         shifted[i], shifted[i + 1] = shifted[i + 1], shifted[i]
-        swapped = tuple(x - (b - 1 - j) for j, x in enumerate(shifted))
-        assert _straighten(swapped) == (-sign, dominant)
+        swapped = tuple(x - (b - j) for j, x in enumerate(shifted))
+        other, again = straighten(swapped)
+        assert again == dominant
+        assert abs(other - length) == 1
 
 
 def test_lr_tensor_examples():

@@ -4,7 +4,8 @@ import warnings
 import pytest
 
 from grassbott import expr as ex
-from grassbott.bott import bott_degree, bott_dim, bott_irreducible, cohomology
+from grassbott.bott import bott_irreducible, cohomology
+from grassbott.dims import sl_dim, straighten
 from grassbott.errors import StructureError
 from grassbott.theorems import (
     check_theorem1,
@@ -14,7 +15,7 @@ from grassbott.theorems import (
     scan_normality,
 )
 from grassbott.schur import evaluate
-from grassbott.weights import BlockWeight, GrassContext, full_weight, twist
+from grassbott.weights import BlockWeight, GrassContext, twist
 
 CTX25 = GrassContext(2, 5)
 CTX14 = GrassContext(1, 4)
@@ -164,7 +165,7 @@ def _tensor_route(ctx, f, p, r):
     """H^p((wedge^p F*)(r)) through a twist node and the reference Bott."""
     dim, weights = 0, []
     for w, m in evaluate(ex.Tensor(ex.Line(r), ex.Wedge(p, ex.Dual(f))), ctx).items():
-        d = bott_irreducible(full_weight(w)).get(p, 0)
+        d = bott_irreducible(w).get(p, 0)
         if d:
             dim += m * d
             weights.append(w)
@@ -215,9 +216,9 @@ def test_bott_degree_monotone_in_twist(ctx):
         last = None
         for r in range(0, 16):
             tw = twist(w, r)
-            found = bott_degree(tw.first + tw.second)
-            expected = {} if found is None else {found[0]: bott_dim(found[1])}
-            assert bott_irreducible(full_weight(tw)) == expected, (w, r)
+            found = straighten(tw.first + tw.second)
+            expected = {} if found is None else {found[0]: sl_dim(found[1])}
+            assert bott_irreducible(tw) == expected, (w, r)
             if found is None:
                 continue
             if last is not None:

@@ -5,10 +5,8 @@ import pytest
 from grassbott.errors import StructureError
 from grassbott.weights import (
     BlockWeight,
-    FullWeight,
     GrassContext,
     dual_weight,
-    full_weight,
     is_globally_generated,
     twist,
 )
@@ -41,8 +39,6 @@ def test_block_length_validation():
         BlockWeight(CTX, (1, 0, 0), (0, 0, 0))
     with pytest.raises(StructureError):
         BlockWeight(CTX, (1, 0), (0, 0))
-    with pytest.raises(StructureError):
-        FullWeight(CTX, (1, 0, 0))
 
 
 def test_globally_generated():
@@ -66,13 +62,6 @@ def test_twist_examples():
     assert twist(w((0, 0)), 1) == w((1, 1))
     assert twist(w((-3, -6)), 2) == w((-1, -4))
     assert twist(w((2, 1)), 0) == w((2, 1))
-
-
-def test_full_weight_examples():
-    assert full_weight(w((1, 1))).entries == (1, 1, 0, 0, 0)
-    assert full_weight(w((-1, -4))).entries == (-1, -4, 0, 0, 0)
-    assert full_weight(w((1, 0), (0, 0, -1))).entries == (1, 0, 0, 0, -1)
-    assert full_weight(w((1, 1))).blocks() == w((1, 1))
 
 
 def _random_weight(rng):
