@@ -26,21 +26,17 @@ from .errors import DomainError
 from .weights import BlockWeight, nonincreasing
 
 
-def sl_dim(entries, n: int | None = None) -> int:
+def sl_dim(entries) -> int:
     """Dimension of the irreducible GL(n) representation with highest
-    weight ``entries`` (nonincreasing, length n).
+    weight ``entries`` (nonincreasing, of length n).
 
     Invariant under adding a constant to all entries, so this is also
     the SL(n) dimension.
     """
     lam = tuple(int(x) for x in entries)
-    if n is None:
-        n = len(lam)
-    if len(lam) != n:
-        raise DomainError(f"weight has length {len(lam)}, expected {n}")
     if not nonincreasing(lam):
         raise DomainError(f"weight {lam} is not nonincreasing")
-    if n == 0:
+    if not lam:
         return 1
     return _weyl_product(tuple(x - lam[-1] for x in lam))
 

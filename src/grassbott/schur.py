@@ -11,8 +11,9 @@ Two independent routes are kept for the plethysm operations:
   :func:`grassbott.dims.straighten`, a repeated rho-shifted entry drops
   the weight, and otherwise it counts towards the dominant weight with
   the sign of the parity of the two blocks' lengths;
-* the *oracle* backend enumerates subsets of the weight multiset and
-  peels highest weights one irreducible character at a time.
+* the *oracle*, :func:`oracle_power`, enumerates subsets of the weight
+  multiset and peels highest weights one irreducible character at a
+  time.
 
 Tensor products of decompositions use a Littlewood-Richardson tableau
 walk per block.  All kernel functions work on plain integer tuples (one
@@ -410,7 +411,12 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
     return Decomposition(ctx, {bw: c for _, bw, c in sorted(summands)})
 
 
-def _oracle_power(d: Decomposition, p: int, with_repetition: bool) -> Decomposition:
+def oracle_power(d: Decomposition, p: int, kind: str) -> Decomposition:
+    """Independent brute-force ``kind`` ("wedge" or "sym") power, the
+    oracle for :func:`wedge_power` and :func:`sym_power`: enumerates the
+    p-subsets (multisets for "sym") of the weight multiset and peels.
+    Raises :class:`OracleBudgetError` beyond its budget."""
+    with_repetition = kind == "sym"
     ctx = d.ctx
     k, n = ctx.k, ctx.n
     char = _full_char(d)
@@ -445,33 +451,22 @@ def _oracle_power(d: Decomposition, p: int, with_repetition: bool) -> Decomposit
     return _from_pairs(ctx, {(w[:k], w[k:]): m for w, m in peeled.items()})
 
 
-def wedge_power(d: Decomposition, p: int, method: str = "fast") -> Decomposition:
+def wedge_power(d: Decomposition, p: int) -> Decomposition:
     """Decomposition of the p-th exterior power of a (possibly
-    reducible) representation.
-
-    ``method="oracle"`` enumerates p-subsets of the weight multiset and
-    peels; it raises :class:`OracleBudgetError` beyond its budget.  For
-    p exceeding the rank the result is the empty decomposition.
+    reducible) representation.  For p exceeding the rank the result is
+    the empty decomposition.
     """
     if p < 0:
         raise StructureError("exterior power needs p >= 0")
-    if method == "fast":
-        return _power_fast(d, p, "wedge")
-    if method == "oracle":
-        return _oracle_power(d, p, with_repetition=False)
-    raise StructureError(f"unknown method {method!r}")
+    return _power_fast(d, p, "wedge")
 
 
-def sym_power(d: Decomposition, p: int, method: str = "fast") -> Decomposition:
-    """Decomposition of the p-th symmetric power; same backends as
-    :func:`wedge_power` with multisets in place of subsets."""
+def sym_power(d: Decomposition, p: int) -> Decomposition:
+    """Decomposition of the p-th symmetric power of a (possibly
+    reducible) representation."""
     if p < 0:
         raise StructureError("symmetric power needs p >= 0")
-    if method == "fast":
-        return _power_fast(d, p, "sym")
-    if method == "oracle":
-        return _oracle_power(d, p, with_repetition=True)
-    raise StructureError(f"unknown method {method!r}")
+    return _power_fast(d, p, "sym")
 
 
 # ---------------------------------------------------------------------------

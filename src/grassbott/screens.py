@@ -1,13 +1,16 @@
 """Numerical screens for Fano zero loci and the inequality-system
 witness searches behind the two main vanishing scans.
 
-The witness validators implement the published inequality chains
-exactly as displayed, including the Fano-range line b_1 <= n-1.  That
+The four published inequality chains (4.1 for normality; a, b and b'
+for deformations) are rows of one table, and one search serves them
+all.  It returns every weight that meets a chain without the Fano-range
+line b_1 <= n-1, and marks on each witness whether that line holds too,
+that is whether the weight meets the chain exactly as displayed.  The
 line is a consequence of the Fano screen, not of the cohomological
-bookkeeping, so for non-Fano probes a search can be re-run with
-``include_fano_line=False`` to exhibit the underlying weight; the
-cross-validation driver uses that to surface (never to silence)
-discrepancies between the full scans and the chains.
+bookkeeping; the cross-validation driver compares the displayed
+witnesses with the full scans and shows a weight that misses only that
+line next to a scan failure it explains (surfacing, never silencing, a
+discrepancy).
 """
 
 from __future__ import annotations
@@ -104,31 +107,20 @@ def screen(ctx: GrassContext, summands) -> ScreenReport:
 @dataclass(frozen=True)
 class ConditionWitness:
     """A dominant summand weight satisfying one of the displayed
-    inequality systems, together with the bound evaluated for it."""
+    inequality chains, apart from the Fano-range line, together with the
+    bound evaluated for it."""
 
     system: str  # "4.1" | "a" | "b" | "b'"
     s: int
     r: int | None
     weight: tuple
     bound_holds: bool | None
+    # the Fano-range line b_1 <= n-1 holds or does not apply at this s,
+    # so the weight meets the chain as displayed
+    fano_line: bool
 
 
-def _require_irreducible(ctx: GrassContext, beta) -> BlockWeight:
-    if not isinstance(beta, BlockWeight):
-        beta = BlockWeight.from_first(ctx, tuple(beta))
-    if any(beta.second):
-        raise StructureError("condition systems expect a k-block weight")
-    if not is_globally_generated(beta):
-        raise DomainError(f"{beta} is not globally generated")
-    return beta
-
-
-def _wedge_first_weights(ctx: GrassContext, beta: BlockWeight, p: int):
-    """Dominant k-block weights of wedge^p of the irreducible bundle."""
-    return [(w.first, m) for w, m in evaluate(ex.Wedge(p, ex.Irr(beta)), ctx).items()]
-
-
-def _rank_bound_42(k: int, size: int, rank: int, s: int) -> bool:
+def _rank_bound_42(k: int, n: int, size: int, rank: int, s: int) -> bool:
     # rank * size < k^2 (k-1) / (s (size-1)) + k^2, cross-multiplied.
     if size <= 1:
         return True
@@ -137,132 +129,133 @@ def _rank_bound_42(k: int, size: int, rank: int, s: int) -> bool:
     return lhs < rhs
 
 
-def _bound_52(ctx: GrassContext, size: int, s: int) -> bool:
+def _bound_52(k: int, n: int, size: int, rank: int, s: int) -> bool:
     # n <= (s(k-s) + size(sk+1) - s + 1) / (s (size-1))
-    k, n = ctx.k, ctx.n
     if size <= 1:
         return True
     return n * s * (size - 1) <= s * (k - s) + size * (s * k + 1) - s + 1
 
 
-def _bound_53(ctx: GrassContext, size: int, s: int) -> bool:
+def _bound_53(k: int, n: int, size: int, rank: int, s: int) -> bool:
     # n <= (s(k-s) + 2 - k + size*s*k + 2*size) / (s (size-1))
-    k, n = ctx.k, ctx.n
     if size <= 1:
         return True
     return n * s * (size - 1) <= s * (k - s) + 2 - k + size * s * k + 2 * size
 
 
-def find_witnesses_41(
-    ctx: GrassContext, beta, include_fano_line: bool = True
-) -> list[ConditionWitness]:
-    """All witnesses of the first condition system: a positive s, a
-    twist r >= 0, and a dominant weight b of wedge^{s(n-k)} F with
+# The chains on a dominant weight w (w[0] >= ... >= w[k-1]) at s and
+# twist r, without the Fano-range line b_1 <= n-1; an entry past w[k-1]
+# or before w[0] drops its inequality.
 
-        n-1 >= b_1,  b_s >= n-k+r+s,  b_{s+1} <= r+s,  b_k >= 0.
 
-    The published chains take s < k; under the Fano-range line the case
-    s = k is infeasible anyway, so the search runs s up to k and the
-    extra case only fires in the relaxed diagnostic mode
-    (``include_fano_line=False``), where it makes the search complete
-    against the full scan.  The ``bound_holds`` flag records the
-    companion rank inequality for the witness's s.
+def _chain_41(w, s, r, k, n) -> bool:
+    return w[s - 1] >= n - k + r + s and (s == k or w[s] <= r + s) and w[k - 1] >= 0
+
+
+def _chain_a(w, s, r, k, n) -> bool:
+    return w[s - 1] >= n - k + s and (s == k or w[s] <= s)
+
+
+def _chain_b(w, s, r, k, n) -> bool:
+    return (
+        w[s - 1] >= n - k + s + 1
+        and (s == k or w[s] <= s + 1)
+        and (s + 1 >= k or w[s + 1] <= s)
+    )
+
+
+def _chain_b2(w, s, r, k, n) -> bool:
+    return (
+        (s < 2 or w[s - 2] >= n - k + s)
+        and n - k + s - 1 <= w[s - 1] <= n - k + s
+        and (s == k or w[s] <= s + 1)
+        and (s + 1 >= k or w[s + 1] <= s)
+    )
+
+
+# system: (offset, bound, fano_from, dual, twisted, chain).  The system
+# probes wedge^p F with p = s(n-k) - offset, or F* (x) wedge^p F when
+# ``dual``; ``bound`` is its companion bound; the Fano-range line
+# applies from s = fano_from on; a ``twisted`` chain also runs over a
+# twist r >= 0.
+_SYSTEMS = {
+    "4.1": (0, _rank_bound_42, 1, False, True, _chain_41),
+    "a": (0, _bound_52, 1, True, False, _chain_a),
+    "b": (1, _bound_52, 1, False, False, _chain_b),
+    "b'": (2, _bound_53, 2, False, False, _chain_b2),
+}
+
+
+def _search(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
+    """Every weight that meets the chain of ``system`` without the
+    Fano-range line, in the order s, then r, then the sorted weight.
+
+    The published chains take s < k.  The search runs s up to k: for
+    k >= 2 a weight that meets a chain at s = k has b_1 >= n and fails
+    the Fano-range line, so the extra case leaves the displayed
+    witnesses alone.  Without that line the chains are exactly the
+    scans' nonvanishing conditions, which makes the search complete
+    against the full scans.
     """
-    beta = _require_irreducible(ctx, beta)
+    offset, bound_of, fano_from, dual, twisted, chain = _SYSTEMS[system]
+    if not isinstance(beta, BlockWeight):
+        beta = BlockWeight.from_first(ctx, tuple(beta))
+    if any(beta.second):
+        raise StructureError("condition systems expect a k-block weight")
+    if not is_globally_generated(beta):
+        raise DomainError(f"{beta} is not globally generated")
     k, n = ctx.k, ctx.n
     rank = block_rank(beta)
     size = beta.first_sum()
+    f = ex.Irr(beta)
     out = []
     for s in range(1, k + 1):
-        p = s * (n - k)
-        if p > rank:
+        p = s * (n - k) - offset
+        if p < 0 or p > rank:
             continue
-        weights = _wedge_first_weights(ctx, beta, p)
+        e = ex.Tensor(ex.Dual(f), ex.Wedge(p, f)) if dual else ex.Wedge(p, f)
+        weights = sorted(w.first for w in evaluate(e, ctx).table)
         if not weights:
             continue
-        max_entry = max(w[0] for w, _ in weights)
-        r_hi = max_entry - (n - k) - s
-        for r in range(0, max(r_hi, -1) + 1):
-            for w, _ in sorted(weights):
-                if include_fano_line and w[0] > n - 1:
-                    continue
-                if w[s - 1] < n - k + r + s:
-                    continue
-                if s < k and w[s] > r + s:
-                    continue
-                if w[k - 1] < 0:
-                    continue
-                out.append(
-                    ConditionWitness(
-                        "4.1", s, r, w, _rank_bound_42(k, size, rank, s)
-                    )
-                )
+        bound = bound_of(k, n, size, rank, s)
+        # a larger twist fails b_s >= n-k+r+s on every weight
+        twists = range(weights[-1][0] - (n - k) - s + 1) if twisted else (None,)
+        for r in twists:
+            for w in weights:
+                if chain(w, s, r or 0, k, n):
+                    fano_line = s < fano_from or w[0] <= n - 1
+                    out.append(ConditionWitness(system, s, r, w, bound, fano_line))
     return out
 
 
-def find_witnesses_5(
-    ctx: GrassContext, beta, system: str, include_fano_line: bool = True
-) -> list[ConditionWitness]:
-    """All witnesses of one of the second-theorem condition systems.
+def find_witnesses_41(ctx: GrassContext, beta) -> list[ConditionWitness]:
+    """Witnesses of the first condition system: a positive s, a twist
+    r >= 0, and a dominant weight b of wedge^{s(n-k)} F with
+
+        n-1 >= b_1,  b_s >= n-k+r+s,  b_{s+1} <= r+s,  b_k >= 0.
+
+    Every weight that meets the chain without the first line is
+    returned; ``fano_line`` marks those that meet it as displayed, and
+    ``bound_holds`` records the companion rank inequality for the
+    witness's s.
+    """
+    return _search(ctx, beta, "4.1")
+
+
+def find_witnesses_5(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
+    """Witnesses of one of the second-theorem condition systems.
 
     System "a" searches weights a of F* (x) wedge^{s(n-k)} F with
     a_s >= n-k+s and a_{s+1} <= s; systems "b" and "b'" search weights
     of wedge^{s(n-k)-1} F and wedge^{s(n-k)-2} F with the displaced
-    chains involving the tangent-bundle weight.  As in the first
-    system, s runs up to k; the s = k case is infeasible under the
-    Fano-range line and only serves the relaxed diagnostics.
+    chains involving the tangent-bundle weight.  As for the first
+    system, every weight that meets the chain without the Fano-range
+    line is returned, with ``fano_line`` set on those that meet it as
+    displayed.
     """
     if system not in ("a", "b", "b'"):
         raise StructureError(f"unknown system {system!r}")
-    beta = _require_irreducible(ctx, beta)
-    k, n = ctx.k, ctx.n
-    rank = block_rank(beta)
-    size = beta.first_sum()
-    out = []
-    for s in range(1, k + 1):
-        if system == "a":
-            p = s * (n - k)
-            bound = _bound_52(ctx, size, s)
-        elif system == "b":
-            p = s * (n - k) - 1
-            bound = _bound_52(ctx, size, s)
-        else:
-            p = s * (n - k) - 2
-            bound = _bound_53(ctx, size, s)
-        if p < 0 or p > rank:
-            continue
-        if system == "a":
-            f = ex.Irr(beta)
-            prod = evaluate(ex.Tensor(ex.Dual(f), ex.Wedge(p, f)), ctx)
-            weights = [(w.first, m) for w, m in prod.items()]
-        else:
-            weights = _wedge_first_weights(ctx, beta, p)
-        for w, _ in sorted(weights):
-            if include_fano_line and s >= (1 if system != "b'" else 2) and w[0] > n - 1:
-                continue
-            if system == "a":
-                if w[s - 1] < n - k + s:
-                    continue
-                if s < k and w[s] > s:
-                    continue
-            elif system == "b":
-                if w[s - 1] < n - k + s + 1:
-                    continue
-                if s < k and w[s] > s + 1:
-                    continue
-                if s + 1 < k and w[s + 1] > s:
-                    continue
-            else:
-                if s >= 2 and w[s - 2] < n - k + s:
-                    continue
-                if not (n - k + s - 1 <= w[s - 1] <= n - k + s):
-                    continue
-                if s < k and w[s] > s + 1:
-                    continue
-                if s + 1 < k and w[s + 1] > s:
-                    continue
-            out.append(ConditionWitness(system, s, None, w, bound))
-    return out
+    return _search(ctx, beta, system)
 
 
 # ---------------------------------------------------------------------------

@@ -259,33 +259,40 @@ def _connected_h0(ctx, f) -> tuple[str | None, list]:
     return None, notes
 
 
-def check_theorem1(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
-    """Scan the projective-normality criterion for F (a globally
-    generated sum of one irreducible bundle and line bundles)."""
-    weights = _summand_weights(ctx, f)
-    screen_rep = screen(ctx, weights)
-    non_lines = [w for w in weights if len(set(w.first)) > 1]
-    notes = []
-    if len(non_lines) > 1:
-        notes.append(
-            "F has more than one non-line-bundle summand; scan is exploratory"
-        )
-    checks, witnesses = scan_normality(ctx, f)
+def _report(ctx: GrassContext, theorem: str, f: ex.Expr, scans) -> TheoremReport:
+    """Screen F, run the scans on it and collect their checks and sorted
+    witnesses into a report with its verdict."""
+    screen_rep = screen(ctx, _summand_weights(ctx, f))
+    checks, witnesses = [], []
+    for scan in scans:
+        scan_checks, scan_witnesses = scan(ctx, f)
+        checks += scan_checks
+        witnesses += scan_witnesses
     witnesses = _sort_witnesses(witnesses)
-    report = TheoremReport(
+    return TheoremReport(
         ctx=ctx,
-        theorem="1",
+        theorem=theorem,
         f_text=ex.to_text(f),
         verdict=_verdict(screen_rep, witnesses),
         screen=screen_rep,
         checks=checks,
         witnesses=witnesses,
-        notes=notes,
     )
-    normal, n_notes = _normality_verdict(ctx, f, witnesses)
+
+
+def check_theorem1(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
+    """Scan the projective-normality criterion for F (a globally
+    generated sum of one irreducible bundle and line bundles)."""
+    report = _report(ctx, "1", f, (scan_normality,))
+    non_lines = [w for w in report.screen.summands if len(set(w.first)) > 1]
+    if len(non_lines) > 1:
+        report.notes.append(
+            "F has more than one non-line-bundle summand; scan is exploratory"
+        )
+    normal, n_notes = _normality_verdict(ctx, f, report.witnesses)
     report.projectively_normal = normal
     report.notes.extend(n_notes)
-    if screen_rep.dim_x > 0:
+    if report.screen.dim_x > 0:
         h0, h_notes = _connected_h0(ctx, f)
         report.connected_h0 = h0
         report.notes.extend(h_notes)
@@ -294,19 +301,7 @@ def check_theorem1(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
 
 def check_theorem2(ctx: GrassContext, f: ex.Expr) -> TheoremReport:
     """Scan the deformation criterion for F."""
-    weights = _summand_weights(ctx, f)
-    screen_rep = screen(ctx, weights)
-    checks, witnesses = scan_deformation(ctx, f)
-    witnesses = _sort_witnesses(witnesses)
-    return TheoremReport(
-        ctx=ctx,
-        theorem="2",
-        f_text=ex.to_text(f),
-        verdict=_verdict(screen_rep, witnesses),
-        screen=screen_rep,
-        checks=checks,
-        witnesses=witnesses,
-    )
+    return _report(ctx, "2", f, (scan_deformation,))
 
 
 def check_theorem3(ctx: GrassContext, summands) -> TheoremReport:
@@ -319,28 +314,13 @@ def check_theorem3(ctx: GrassContext, summands) -> TheoremReport:
     f = exprs[0]
     for nxt in exprs[1:]:
         f = ex.DirectSum(f, nxt)
-    weights = _summand_weights(ctx, f)
-    screen_rep = screen(ctx, weights)
-    if screen_rep.dim_x != 4:
+    report = _report(ctx, "3", f, (scan_normality, scan_deformation))
+    if report.screen.dim_x != 4:
         warnings.warn(
-            f"dim X = {screen_rep.dim_x}, the four-fold statement is stated "
+            f"dim X = {report.screen.dim_x}, the four-fold statement is stated "
             "for dim X = 4",
             stacklevel=2,
         )
-    checks1, wit1 = scan_normality(ctx, f)
-    checks2, wit2 = scan_deformation(ctx, f)
-    witnesses = _sort_witnesses(wit1 + wit2)
-    report = TheoremReport(
-        ctx=ctx,
-        theorem="3",
-        f_text=ex.to_text(f),
-        verdict=_verdict(screen_rep, witnesses),
-        screen=screen_rep,
-        checks=checks1 + checks2,
-        witnesses=witnesses,
-    )
-    if screen_rep.dim_x <= 0:
-        report.verdict = "not-applicable"
     return report
 
 
@@ -395,14 +375,11 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
             )
         return report
 
-    strict41 = find_witnesses_41(ctx, beta)
-    relaxed41 = find_witnesses_41(ctx, beta, include_fano_line=False)
-    strict_a = find_witnesses_5(ctx, beta, "a")
-    relaxed_a = find_witnesses_5(ctx, beta, "a", include_fano_line=False)
-    strict_b = find_witnesses_5(ctx, beta, "b") + find_witnesses_5(ctx, beta, "b'")
-    relaxed_b = find_witnesses_5(
-        ctx, beta, "b", include_fano_line=False
-    ) + find_witnesses_5(ctx, beta, "b'", include_fano_line=False)
+    # one search per system; the displayed witnesses are those that also
+    # meet the Fano-range line
+    found41 = find_witnesses_41(ctx, beta)
+    found_a = find_witnesses_5(ctx, beta, "a")
+    found_b = find_witnesses_5(ctx, beta, "b") + find_witnesses_5(ctx, beta, "b'")
 
     def key(w) -> tuple:
         # the scan group a witness predicts: the wedge index p it probes
@@ -410,14 +387,14 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
         # as for the 5.1 scan groups)
         return w.s * step - {"b": 1, "b'": 2}.get(w.system, 0), w.r
 
-    # per pairing: scan failures, strict and relaxed witnesses, then the
-    # texts for a match, an unmatched failure, the relaxed probe shown
-    # with it, and a witness without a failure
+    # per pairing: scan failures and found witnesses, then the texts for
+    # a match, an unmatched failure, the witness that misses only the
+    # Fano-range line shown with it, and a displayed witness without a
+    # failure
     rows = (
         (
             thm1_failures,
-            strict41,
-            relaxed41,
+            found41,
             lambda fw: f"thm1 failure (p={fw.p}, r={fw.r}) <-> system 4.1",
             lambda fw: f"scan failure thm1 (p={fw.p}, r={fw.r}, dim={fw.dim}) has no "
             "system-4.1 witness as displayed",
@@ -428,8 +405,7 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
         ),
         (
             fail_a,
-            strict_a,
-            relaxed_a,
+            found_a,
             lambda fw: f"5.1a failure (p={fw.p}) <-> system a",
             lambda fw: f"scan failure 5.1a (p={fw.p}, dim={fw.dim}) has no system-a "
             "witness as displayed",
@@ -440,8 +416,7 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
         ),
         (
             fail_b,
-            strict_b,
-            relaxed_b,
+            found_b,
             lambda fw: f"5.1b failure (wedge p={fw.p}) <-> system b/b'",
             lambda fw: f"scan failure 5.1b (wedge p={fw.p}, dim={fw.dim}) has no "
             "system-b/b' witness as displayed",
@@ -451,12 +426,13 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
             "matching 5.1b scan failure",
         ),
     )
-    for failures, strict, relaxed, matched, unmatched, probed, orphan in rows:
+    for failures, found, matched, unmatched, probed, orphan in rows:
+        strict = [w for w in found if w.fano_line]
         for fw in failures:
             if any(key(w) == (fw.p, fw.r) for w in strict):
                 report.matches.append(matched(fw))
                 continue
-            probe = next((w for w in relaxed if key(w) == (fw.p, fw.r)), None)
+            probe = next((w for w in found if key(w) == (fw.p, fw.r)), None)
             report.mismatches.append(unmatched(fw) + (probed(probe) if probe else ""))
         failed = {(fw.p, fw.r) for fw in failures}
         report.mismatches.extend(orphan(w) for w in strict if key(w) not in failed)

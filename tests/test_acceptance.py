@@ -30,7 +30,7 @@ from grassbott.koszul import (
     build_table,
     euler_restriction,
 )
-from grassbott.schur import Decomposition, evaluate, sym_power, wedge_power
+from grassbott.schur import Decomposition, evaluate, oracle_power, sym_power, wedge_power
 from grassbott.screens import _partitions_at_most, enumerate_lemma54, screen
 from grassbott.theorems import check_theorem1, check_theorem2, cross_validate
 from grassbott.weights import BlockWeight, GrassContext, dual_weight, twist
@@ -303,7 +303,7 @@ def test_criterion_6_property_suites():
                 fast = wedge_power(d, p)
                 assert fast.rank() == comb(rank, p), (lam, p)
                 try:
-                    oracle = wedge_power(d, p, method="oracle")
+                    oracle = oracle_power(d, p, "wedge")
                 except OracleBudgetError:
                     continue
                 assert fast.table == oracle.table, (lam, p)
@@ -312,7 +312,7 @@ def test_criterion_6_property_suites():
                 fast = sym_power(d, p)
                 assert fast.rank() == comb(rank + p - 1, p), (lam, p)
                 try:
-                    oracle = sym_power(d, p, method="oracle")
+                    oracle = oracle_power(d, p, "sym")
                 except OracleBudgetError:
                     continue
                 assert fast.table == oracle.table, (lam, p)

@@ -16,6 +16,7 @@ from grassbott.schur import (
     evaluate,
     gt_weights,
     lr_tensor,
+    oracle_power,
     sym_power,
     wedge_power,
 )
@@ -275,9 +276,9 @@ def test_oracle_fast_agreement_small():
         d = irr(ctx, first)
         rank = d.rank()
         for p in range(rank + 1):
-            assert wedge_power(d, p).table == wedge_power(d, p, method="oracle").table
+            assert wedge_power(d, p).table == oracle_power(d, p, "wedge").table
         for p in range(4):
-            assert sym_power(d, p).table == sym_power(d, p, method="oracle").table
+            assert sym_power(d, p).table == oracle_power(d, p, "sym").table
 
 
 def test_oracle_fast_agreement_two_block():
@@ -287,7 +288,7 @@ def test_oracle_fast_agreement_two_block():
     for p in range(5):
         assert (
             wedge_power(theta, p).table
-            == wedge_power(theta, p, method="oracle").table
+            == oracle_power(theta, p, "wedge").table
         )
 
 
@@ -310,10 +311,10 @@ def test_oracle_fast_agreement_both_blocks():
                 continue
             drawn += 1
             for p in range(rank + 1):
-                assert wedge_power(d, p).table == wedge_power(d, p, method="oracle").table
+                assert wedge_power(d, p).table == oracle_power(d, p, "wedge").table
                 checked += 1
             for p in range(4):
-                assert sym_power(d, p).table == sym_power(d, p, method="oracle").table
+                assert sym_power(d, p).table == oracle_power(d, p, "sym").table
                 checked += 1
     assert checked > 100
 
@@ -357,7 +358,7 @@ def test_reducible_wedge_binomial_expansion():
     for p in range(rank + 1):
         fast = wedge_power(d, p)
         assert fast.rank() == comb(rank, p)
-        assert fast.table == wedge_power(d, p, method="oracle").table
+        assert fast.table == oracle_power(d, p, "wedge").table
 
 
 def test_evaluate_atoms_and_identities():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from grassbott.dims import sl_dim
 from grassbott.errors import DomainError, StructureError
 from grassbott.screens import (
+    _partitions_at_most,
     enumerate_lemma54,
     find_witnesses_41,
     find_witnesses_5,
@@ -13,6 +15,12 @@ from grassbott.screens import (
 from grassbott.weights import BlockWeight, GrassContext
 
 CTX25 = GrassContext(2, 5)
+
+
+def displayed(witnesses):
+    """The witnesses that meet their chain as displayed, Fano-range line
+    included."""
+    return [w for w in witnesses if w.fano_line]
 
 
 def test_screen_counterexample_not_fano():
@@ -53,21 +61,21 @@ def test_screen_input_validation():
 
 
 def test_witness_41_rank_one_bundle():
-    assert find_witnesses_41(CTX25, (1, 1)) == []
+    assert displayed(find_witnesses_41(CTX25, (1, 1))) == []
 
 
 def test_witness_41_displayed_chain_misses_counterexample():
     # the scan fails on Gr(2,5) for the cubic power, but the displayed
     # chain includes the Fano-range line b_1 <= n-1 which the weight
-    # (6,3) violates; the strict search therefore returns nothing and
-    # the relaxed probe exhibits the triple (s=1, r=2, (6,3))
-    assert find_witnesses_41(CTX25, (3, 0)) == []
-    relaxed = find_witnesses_41(CTX25, (3, 0), include_fano_line=False)
+    # (6,3) violates; no witness is displayed and the search without
+    # that line exhibits the triple (s=1, r=2, (6,3))
+    relaxed = find_witnesses_41(CTX25, (3, 0))
+    assert displayed(relaxed) == []
     assert [(w.s, w.r, w.weight) for w in relaxed] == [(1, 2, (6, 3))]
 
 
 def test_witness_41_strict_hit_with_rank_bound():
-    wits = find_witnesses_41(GrassContext(2, 4), (2, 0))
+    wits = displayed(find_witnesses_41(GrassContext(2, 4), (2, 0)))
     assert [(w.s, w.r, w.weight) for w in wits] == [(1, 0, (3, 1))]
     # rank * size = 6 < k^2(k-1)/(s(size-1)) + k^2 = 8
     assert wits[0].bound_holds is True
@@ -78,14 +86,14 @@ def test_witness_41_k2_forces_s1_r0():
     for n in range(4, 9):
         ctx = GrassContext(2, n)
         for first in [(2, 0), (2, 1), (3, 1), (2, 2), (3, 0)]:
-            for w in find_witnesses_41(ctx, first):
+            for w in displayed(find_witnesses_41(ctx, first)):
                 assert w.s == 1 and w.r == 0
 
 
 def test_witness_5_examples():
-    assert find_witnesses_5(CTX25, (1, 1), "a") == []
-    assert find_witnesses_5(CTX25, (1, 1), "b") == []
-    assert find_witnesses_5(CTX25, (1, 1), "b'") == []
+    assert displayed(find_witnesses_5(CTX25, (1, 1), "a")) == []
+    assert displayed(find_witnesses_5(CTX25, (1, 1), "b")) == []
+    assert displayed(find_witnesses_5(CTX25, (1, 1), "b'")) == []
     with pytest.raises(StructureError):
         find_witnesses_5(CTX25, (1, 1), "c")
 
@@ -96,13 +104,13 @@ def test_witness_5_pair_type_never_satisfies_b():
     for k, n in [(3, 6), (4, 8), (4, 7)]:
         ctx = GrassContext(k, n)
         first = (1, 1) + (0,) * (k - 2)
-        assert find_witnesses_5(ctx, first, "b") == []
+        assert displayed(find_witnesses_5(ctx, first, "b")) == []
 
 
 def test_witness_5_strict_hit():
     # the two-component quadric case genuinely violates the deformation
     # scan, and system a sees it
-    wits = find_witnesses_5(GrassContext(2, 4), (2, 0), "a")
+    wits = displayed(find_witnesses_5(GrassContext(2, 4), (2, 0), "a"))
     assert [(w.s, w.weight) for w in wits] == [(1, (3, -1))]
 
 
@@ -174,7 +182,7 @@ def test_rank_bound_holds_for_fano_witnesses():
         for c in enumerate_lemma54(k):
             for n in range(c.n_min, c.n_max + 1):
                 ctx = GrassContext(k, n)
-                for w in find_witnesses_41(ctx, c.beta):
+                for w in displayed(find_witnesses_41(ctx, c.beta)):
                     assert w.bound_holds, (k, n, c.beta, w)
 
 
@@ -197,6 +205,38 @@ def test_relaxed_witness_matches_scan_exactly():
             f = ex.Irr(BlockWeight.from_first(ctx, first))
             _, failures = scan_normality(ctx, f)
             scan_keys = {(w.p, w.r) for w in failures}
-            relaxed = find_witnesses_41(ctx, first, include_fano_line=False)
+            relaxed = find_witnesses_41(ctx, first)
             witness_keys = {(w.s * (n - k), w.r) for w in relaxed}
             assert scan_keys == witness_keys, (k, n, first)
+
+
+# sha256 over the displayed and then the relaxed witness list of every
+# system on the grid below, recorded when the displayed and the relaxed
+# searches were separate runs of each system
+WITNESS_GOLDEN = "ce9cfac9a38f26a49fece6030b8bca17f174754fe3f671f53d82452f02e0ffeb"
+
+
+def test_witness_search_golden():
+    digest = hashlib.sha256()
+    searches = shown = found = 0
+    for k in (2, 3):
+        for n in range(k + 2, 8):
+            ctx = GrassContext(k, n)
+            for size in range(1, 6):
+                for beta in _partitions_at_most(size, k, size):
+                    for system in ("4.1", "a", "b", "b'"):
+                        if system == "4.1":
+                            wits = find_witnesses_41(ctx, beta)
+                        else:
+                            wits = find_witnesses_5(ctx, beta, system)
+                        searches += 1
+                        shown += len(displayed(wits))
+                        found += len(wits)
+                        for ws in (displayed(wits), wits):
+                            rows = [
+                                (w.system, w.s, w.r, w.weight, w.bound_holds)
+                                for w in ws
+                            ]
+                            digest.update(repr(rows).encode())
+    assert (searches, shown, found) == (356, 66, 5580)
+    assert digest.hexdigest() == WITNESS_GOLDEN
