@@ -15,85 +15,188 @@ Grammar (all prefix, ASCII, whitespace tolerated)::
 ``irr`` lists the k-block entries; the second block is zero unless a
 ``|`` separator appears.  ``parse_expr`` followed by ``to_text`` is the
 identity on canonical forms.
+
+Nodes are immutable, hashable slotted values with class-sensitive
+equality: ``Wedge(2, Q) != Sym(2, Q)``, and ``hash`` is the hash of the
+field tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, StructureError
+from .record import Record
 from .weights import BlockWeight, GrassContext
 
+_set = object.__setattr__
 
-class Expr:
+
+class Expr(Record, frozen=True):
     """Base class for bundle-expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+class _Atom(Expr):
+    """A node without fields; every instance equals every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class Quotient(_Atom):
+    """The universal quotient bundle (rank k)."""
+
+    __slots__ = ()
+
+
+class Sub(_Atom):
+    """The universal sub-bundle (rank n-k)."""
+
+    __slots__ = ()
+
+
+class Tangent(_Atom):
+    """The tangent bundle of the Grassmannian."""
+
+    __slots__ = ()
+
+
 class Irr(Expr):
     """Irreducible bundle with the given highest weight."""
 
-    weight: BlockWeight
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: BlockWeight):
+        _set(self, "weight", weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weight == other.weight
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.weight,))
 
 
-@dataclass(frozen=True)
-class Quotient(Expr):
-    """The universal quotient bundle (rank k)."""
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    """The universal sub-bundle (rank n-k)."""
-
-
-@dataclass(frozen=True)
-class Tangent(Expr):
-    """The tangent bundle of the Grassmannian."""
-
-
-@dataclass(frozen=True)
 class Line(Expr):
     """The r-th power of the Pluecker line bundle."""
 
-    r: int
+    __slots__ = ("r",)
+
+    def __init__(self, r: int):
+        _set(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.r == other.r
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r,))
 
 
-@dataclass(frozen=True)
 class Wedge(Expr):
-    p: int
-    child: Expr
+    __slots__ = ("p", "child")
+
+    def __init__(self, p: int, child: Expr):
+        _set(self, "p", p)
+        _set(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.child) == (other.p, other.child)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.child))
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
-    p: int
-    child: Expr
+    __slots__ = ("p", "child")
+
+    def __init__(self, p: int, child: Expr):
+        _set(self, "p", p)
+        _set(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.child) == (other.p, other.child)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.child))
 
 
-@dataclass(frozen=True)
 class Dual(Expr):
-    child: Expr
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expr):
+        _set(self, "child", child)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.child == other.child
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
 class Twist(Expr):
-    child: Expr
-    r: int
+    __slots__ = ("child", "r")
+
+    def __init__(self, child: Expr, r: int):
+        _set(self, "child", child)
+        _set(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.child, self.r) == (other.child, other.r)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.child, self.r))
 
 
-@dataclass(frozen=True)
 class Tensor(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class DirectSum(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
 Q = Quotient()

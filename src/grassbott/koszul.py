@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 
 from . import expr as ex
 from .bott import cohomology, euler_characteristic
 from .errors import StructureError
 from .parallel import parallel_map
+from .record import Record
 from .schur import evaluate
 from .weights import GrassContext, is_globally_generated
 
@@ -33,14 +33,22 @@ class TargetKind(enum.Enum):
     IDEAL = "ideal"
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Sound conclusion about one cohomology group of the target."""
 
-    kind: str  # "vanishes" | "exact" | "bounds"
-    dim: int | None = None
-    lo: int | None = None
-    hi: int | None = None
+    __slots__ = ("kind", "dim", "lo", "hi")
+
+    def __init__(
+        self,
+        kind: str,  # "vanishes" | "exact" | "bounds"
+        dim: int | None = None,
+        lo: int | None = None,
+        hi: int | None = None,
+    ):
+        self.kind = kind
+        self.dim = dim
+        self.lo = lo
+        self.hi = hi
 
     @classmethod
     def vanishes(cls) -> "Verdict":
@@ -64,15 +72,24 @@ class Verdict:
         return {"kind": "bounds", "lo": str(self.lo), "hi": str(self.hi)}
 
 
-@dataclass
-class KoszulTable:
+class KoszulTable(Record):
     """Grid of dimensions H^p(E (x) wedge^q F*), q in [0,R], p in [0,dim]."""
 
-    ctx: GrassContext
-    e: ex.Expr
-    f: ex.Expr
-    rank_f: int
-    columns: dict  # q -> cohomology profile {p: dim}
+    __slots__ = ("ctx", "e", "f", "rank_f", "columns")
+
+    def __init__(
+        self,
+        ctx: GrassContext,
+        e: ex.Expr,
+        f: ex.Expr,
+        rank_f: int,
+        columns: dict,  # q -> cohomology profile {p: dim}
+    ):
+        self.ctx = ctx
+        self.e = e
+        self.f = f
+        self.rank_f = rank_f
+        self.columns = columns
 
     def cell(self, q: int, p: int) -> int:
         return self.columns.get(q, {}).get(p, 0)

@@ -24,7 +24,6 @@ must never be mutated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -38,6 +37,7 @@ from .errors import (
     OracleBudgetError,
     StructureError,
 )
+from .record import Record
 from .weights import BlockWeight, GrassContext, dual_weight, nonincreasing, twist
 
 ORACLE_BUDGET = 10**6
@@ -252,12 +252,14 @@ def _power_char(char: dict, p: int, kind: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Character:
+class Character(Record):
     """Weight multiset of a GL(k) representation."""
 
-    k: int
-    table: dict = field(default_factory=dict)
+    __slots__ = ("k", "table")
+
+    def __init__(self, k: int, table: dict | None = None):
+        self.k = k
+        self.table = {} if table is None else table
 
     def mass(self) -> int:
         """Total multiplicity; equals the dimension for a genuine character."""
@@ -285,16 +287,16 @@ def decompose_character(c: Character) -> dict[tuple, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Decomposition:
+class Decomposition(Record):
     """Multiset of dominant highest weights with positive multiplicities."""
 
-    ctx: GrassContext
-    table: dict
+    __slots__ = ("ctx", "table")
 
-    def __post_init__(self):
-        for w, m in self.table.items():
-            if not isinstance(w, BlockWeight) or w.ctx != self.ctx:
+    def __init__(self, ctx: GrassContext, table: dict):
+        self.ctx = ctx
+        self.table = table
+        for w, m in table.items():
+            if not isinstance(w, BlockWeight) or w.ctx != ctx:
                 raise StructureError(f"foreign weight {w} in decomposition")
             if not w.is_dominant():
                 raise DomainError(f"non-dominant summand {w}")

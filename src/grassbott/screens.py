@@ -15,29 +15,52 @@ discrepancy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
 from .dims import block_rank, sl_dim
 from .errors import DomainError, StructureError
+from .record import Record
 from .schur import evaluate
 from .weights import BlockWeight, GrassContext, is_globally_generated
 
+_set = object.__setattr__
 
-@dataclass
-class ScreenReport:
+
+class ScreenReport(Record):
     """Outcome of the anticanonical and dimension screens for a sum of
     irreducible bundles given by k-block weights."""
 
-    ctx: GrassContext
-    summands: tuple
-    det_coefficient: Fraction
-    rank_f: int
-    dim_x: int
-    is_fano: bool
-    positive_dimension: bool
-    excluded: str | None
+    __slots__ = (
+        "ctx",
+        "summands",
+        "det_coefficient",
+        "rank_f",
+        "dim_x",
+        "is_fano",
+        "positive_dimension",
+        "excluded",
+    )
+
+    def __init__(
+        self,
+        ctx: GrassContext,
+        summands: tuple,
+        det_coefficient: Fraction,
+        rank_f: int,
+        dim_x: int,
+        is_fano: bool,
+        positive_dimension: bool,
+        excluded: str | None,
+    ):
+        self.ctx = ctx
+        self.summands = summands
+        self.det_coefficient = det_coefficient
+        self.rank_f = rank_f
+        self.dim_x = dim_x
+        self.is_fano = is_fano
+        self.positive_dimension = positive_dimension
+        self.excluded = excluded
 
     def to_json(self) -> dict:
         return {
@@ -83,13 +106,15 @@ def screen(ctx: GrassContext, summands) -> ScreenReport:
             raise DomainError(f"summand {w} is not globally generated")
         weights.append(w)
     weights = tuple(weights)
-    # The determinant coefficient is additive over direct summands.
-    coeff = Fraction(0)
+    # The determinant coefficient is additive over direct summands, and
+    # every summand's term has the denominator k.
+    numerator = 0
     rank_f = 0
     for w in weights:
         r = block_rank(w)
         rank_f += r
-        coeff += Fraction(r * w.first_sum(), ctx.k)
+        numerator += r * w.first_sum()
+    coeff = Fraction(numerator, ctx.k)
     dim_x = ctx.dimension - rank_f
     excluded = _excluded_tag(ctx, weights[0].first) if len(weights) == 1 else None
     return ScreenReport(
@@ -104,20 +129,54 @@ def screen(ctx: GrassContext, summands) -> ScreenReport:
     )
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(Record, frozen=True):
     """A dominant summand weight satisfying one of the displayed
     inequality chains, apart from the Fano-range line, together with the
     bound evaluated for it."""
 
-    system: str  # "4.1" | "a" | "b" | "b'"
-    s: int
-    r: int | None
-    weight: tuple
-    bound_holds: bool | None
-    # the Fano-range line b_1 <= n-1 holds or does not apply at this s,
-    # so the weight meets the chain as displayed
-    fano_line: bool
+    __slots__ = ("system", "s", "r", "weight", "bound_holds", "fano_line")
+
+    def __init__(
+        self,
+        system: str,  # "4.1" | "a" | "b" | "b'"
+        s: int,
+        r: int | None,
+        weight: tuple,
+        bound_holds: bool | None,
+        # the Fano-range line b_1 <= n-1 holds or does not apply at this
+        # s, so the weight meets the chain as displayed
+        fano_line: bool,
+    ):
+        _set(self, "system", system)
+        _set(self, "s", s)
+        _set(self, "r", r)
+        _set(self, "weight", weight)
+        _set(self, "bound_holds", bound_holds)
+        _set(self, "fano_line", fano_line)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.system,
+                self.s,
+                self.r,
+                self.weight,
+                self.bound_holds,
+                self.fano_line,
+            ) == (
+                other.system,
+                other.s,
+                other.r,
+                other.weight,
+                other.bound_holds,
+                other.fano_line,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(
+            (self.system, self.s, self.r, self.weight, self.bound_holds, self.fano_line)
+        )
 
 
 def _rank_bound_42(k: int, n: int, size: int, rank: int, s: int) -> bool:
@@ -263,12 +322,17 @@ def find_witnesses_5(ctx: GrassContext, beta, system: str) -> list[ConditionWitn
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
-    beta: tuple
-    n_min: int
-    n_max: int
-    family: str
+class CandidateFamily(Record, frozen=True):
+    __slots__ = ("beta", "n_min", "n_max", "family")
+
+    def __init__(self, beta: tuple, n_min: int, n_max: int, family: str):
+        _set(self, "beta", beta)
+        _set(self, "n_min", n_min)
+        _set(self, "n_max", n_max)
+        _set(self, "family", family)
+
+    def __hash__(self):
+        return hash(self._values())
 
     def to_json(self) -> dict:
         return {

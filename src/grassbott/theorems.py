@@ -28,13 +28,13 @@ H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from . import expr as ex
 from .dims import sl_dim, straighten
 from .errors import StructureError
 from .koszul import TargetKind, analyze, build_table
 from .parallel import parallel_map
+from .record import Record
 from .schur import evaluate
 from .screens import (
     ScreenReport,
@@ -45,29 +45,40 @@ from .screens import (
 from .weights import BlockWeight, GrassContext, is_globally_generated, twist
 
 
-@dataclass
-class CheckEntry:
+class CheckEntry(Record):
     """One scanned cohomology group."""
 
-    group: str
-    p: int
-    r: int | None
-    dim: int
+    __slots__ = ("group", "p", "r", "dim")
+
+    def __init__(self, group: str, p: int, r: int | None, dim: int):
+        self.group = group
+        self.p = p
+        self.r = r
+        self.dim = dim
 
     @property
     def passed(self) -> bool:
         return self.dim == 0
 
 
-@dataclass
-class ScanWitness:
+class ScanWitness(Record):
     """A nonvanishing group found by a scan."""
 
-    group: str  # "thm1" | "5.1a" | "5.1b"
-    p: int
-    r: int | None
-    dim: int
-    weights: tuple = ()
+    __slots__ = ("group", "p", "r", "dim", "weights")
+
+    def __init__(
+        self,
+        group: str,  # "thm1" | "5.1a" | "5.1b"
+        p: int,
+        r: int | None,
+        dim: int,
+        weights: tuple = (),
+    ):
+        self.group = group
+        self.p = p
+        self.r = r
+        self.dim = dim
+        self.weights = weights
 
     def to_json(self) -> dict:
         data = {"group": self.group, "p": self.p, "dim": str(self.dim)}
@@ -78,18 +89,43 @@ class ScanWitness:
         return data
 
 
-@dataclass
-class TheoremReport:
-    ctx: GrassContext
-    theorem: str
-    f_text: str
-    verdict: str  # "pass" | "fail" | "not-applicable"
-    screen: ScreenReport
-    checks: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    projectively_normal: bool | None = None
-    connected_h0: str | None = None
-    notes: list = field(default_factory=list)
+class TheoremReport(Record):
+    __slots__ = (
+        "ctx",
+        "theorem",
+        "f_text",
+        "verdict",
+        "screen",
+        "checks",
+        "witnesses",
+        "projectively_normal",
+        "connected_h0",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        ctx: GrassContext,
+        theorem: str,
+        f_text: str,
+        verdict: str,  # "pass" | "fail" | "not-applicable"
+        screen: ScreenReport,
+        checks: list | None = None,
+        witnesses: list | None = None,
+        projectively_normal: bool | None = None,
+        connected_h0: str | None = None,
+        notes: list | None = None,
+    ):
+        self.ctx = ctx
+        self.theorem = theorem
+        self.f_text = f_text
+        self.verdict = verdict
+        self.screen = screen
+        self.checks = [] if checks is None else checks
+        self.witnesses = [] if witnesses is None else witnesses
+        self.projectively_normal = projectively_normal
+        self.connected_h0 = connected_h0
+        self.notes = [] if notes is None else notes
 
     @property
     def ambient_dim(self) -> int:
@@ -329,12 +365,20 @@ def check_theorem3(ctx: GrassContext, summands) -> TheoremReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrossReport:
-    ctx: GrassContext
-    beta: tuple
-    matches: list = field(default_factory=list)
-    mismatches: list = field(default_factory=list)
+class CrossReport(Record):
+    __slots__ = ("ctx", "beta", "matches", "mismatches")
+
+    def __init__(
+        self,
+        ctx: GrassContext,
+        beta: tuple,
+        matches: list | None = None,
+        mismatches: list | None = None,
+    ):
+        self.ctx = ctx
+        self.beta = beta
+        self.matches = [] if matches is None else matches
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def consistent(self) -> bool:

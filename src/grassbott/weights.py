@@ -4,29 +4,43 @@ A weight is stored split into a length-k block and a length-(n-k)
 block, matching the two factors of the reductive part of the parabolic
 subgroup.  Bott's theorem and global generation read the two blocks
 concatenated into one length-n tuple, ``w.first + w.second``.
+
+Contexts and weights are immutable, hashable slotted values with
+class-sensitive equality: ``hash`` is the hash of the field tuple, and
+every construction runs the validation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 
 from .errors import StructureError
+from .record import Record
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class GrassContext:
+class GrassContext(Record, frozen=True):
     """The Grassmannian Gr(k,n) of k-dimensional quotients of C^n."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.n, int)):
+    def __init__(self, k: int, n: int):
+        if not (isinstance(k, int) and isinstance(n, int)):
             raise StructureError("k and n must be integers")
-        if not 1 <= self.k < self.n:
-            raise StructureError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        if not 1 <= k < n:
+            raise StructureError(f"need 1 <= k < n, got k={k}, n={n}")
+        _set(self, "k", k)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.n) == (other.k, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.n))
 
     @property
     def dimension(self) -> int:
@@ -50,26 +64,38 @@ def nonincreasing(t: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockWeight:
+class BlockWeight(Record, frozen=True):
     """An integer weight split into the k-block and the (n-k)-block."""
 
-    ctx: GrassContext
-    first: tuple
-    second: tuple
+    __slots__ = ("ctx", "first", "second")
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", tuple(int(x) for x in self.first))
-        object.__setattr__(self, "second", tuple(int(x) for x in self.second))
-        if len(self.first) != self.ctx.k:
+    def __init__(self, ctx: GrassContext, first: tuple, second: tuple):
+        first = tuple(int(x) for x in first)
+        second = tuple(int(x) for x in second)
+        if len(first) != ctx.k:
             raise StructureError(
-                f"first block has length {len(self.first)}, expected k={self.ctx.k}"
+                f"first block has length {len(first)}, expected k={ctx.k}"
             )
-        if len(self.second) != self.ctx.n - self.ctx.k:
+        if len(second) != ctx.n - ctx.k:
             raise StructureError(
-                f"second block has length {len(self.second)}, "
-                f"expected n-k={self.ctx.n - self.ctx.k}"
+                f"second block has length {len(second)}, "
+                f"expected n-k={ctx.n - ctx.k}"
             )
+        _set(self, "ctx", ctx)
+        _set(self, "first", first)
+        _set(self, "second", second)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ctx, self.first, self.second) == (
+                other.ctx,
+                other.first,
+                other.second,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ctx, self.first, self.second))
 
     @classmethod
     def from_first(cls, ctx: GrassContext, first) -> "BlockWeight":

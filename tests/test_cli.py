@@ -106,10 +106,11 @@ def test_unusable_cache_dir_is_one_warning_line(tmp_path):
     assert line.startswith(f"warning: cache disabled: cannot create {blocker / 'sub'} (")
 
 
-def test_cli_import_leaves_out_logging_and_threads(tmp_path):
+def test_cli_import_leaves_out_logging_threads_and_dataclasses(tmp_path):
     code = (
         "import sys, grassbott.cli; "
-        "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))"
+        "print(sorted({'logging', 'concurrent.futures', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

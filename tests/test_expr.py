@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from grassbott import expr as ex
@@ -74,3 +77,61 @@ def test_split_expr_list():
     assert split_expr_list("sym(2,Q),O(1)") == ["sym(2,Q)", "O(1)"]
     assert split_expr_list("irr[1,1],tensor(Q,S)") == ["irr[1,1]", "tensor(Q,S)"]
     assert split_expr_list(" Q ") == ["Q"]
+
+
+def _one_of_each_node():
+    w = BlockWeight.from_first(CTX, (3, 0))
+    return [
+        ex.Irr(w),
+        ex.Quotient(),
+        ex.Sub(),
+        ex.Tangent(),
+        ex.Line(2),
+        ex.Wedge(2, ex.Q),
+        ex.Sym(2, ex.Q),
+        ex.Dual(ex.S),
+        ex.Twist(ex.Q, 1),
+        ex.Tensor(ex.Q, ex.S),
+        ex.DirectSum(ex.Q, ex.S),
+    ]
+
+
+def test_node_equality_is_class_sensitive():
+    assert ex.Wedge(2, ex.Q) != ex.Sym(2, ex.Q)
+    assert ex.Tensor(ex.Q, ex.S) != ex.DirectSum(ex.Q, ex.S)
+    assert ex.Q != ex.S
+    assert ex.Quotient() == ex.Q
+    assert hash(ex.Quotient()) == hash(ex.Q)
+    nodes = _one_of_each_node()
+    assert len(set(nodes)) == len(nodes) == 11
+    for a, b in zip(nodes, _one_of_each_node()):
+        assert a == b and hash(a) == hash(b)
+
+
+def test_node_hash_is_field_tuple_hash():
+    w = BlockWeight.from_first(CTX, (3, 0))
+    assert hash(ex.Irr(w)) == hash((w,))
+    assert hash(ex.Wedge(2, ex.Q)) == hash((2, ex.Q))
+    assert hash(ex.Twist(ex.Q, 1)) == hash((ex.Q, 1))
+
+
+def test_nodes_refuse_assignment_and_deletion():
+    for node in _one_of_each_node():
+        assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+        # a node without fields refuses any name
+        for name in node.__slots__ or ("child",):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+
+
+def test_repr_pinned():
+    e = parse_expr("twist(dual(wedge(3,sym(3,Q))),2)", CTX)
+    assert repr(e) == (
+        "Twist(child=Dual(child=Wedge(p=3, child=Sym(p=3, child=Quotient()))), r=2)"
+    )
+    assert repr(ex.Irr(BlockWeight.from_first(CTX, (3, 0)))) == (
+        "Irr(weight=BlockWeight(ctx=GrassContext(k=2, n=5), first=(3, 0), "
+        "second=(0, 0, 0)))"
+    )

@@ -7,7 +7,9 @@ from grassbott import expr as ex
 from grassbott.bott import bott_irreducible, cohomology
 from grassbott.dims import sl_dim, straighten
 from grassbott.errors import StructureError
+from grassbott.screens import CandidateFamily, ConditionWitness, ScreenReport, screen
 from grassbott.theorems import (
+    TheoremReport,
     check_theorem1,
     check_theorem2,
     check_theorem3,
@@ -270,3 +272,40 @@ def test_report_json_schema():
         }
     ]
     assert data["projectively_normal"] is False
+
+
+def test_report_records():
+    scr = screen(CTX25, [(1, 1)])
+    by_keyword = ScreenReport(
+        ctx=scr.ctx,
+        summands=scr.summands,
+        det_coefficient=scr.det_coefficient,
+        rank_f=scr.rank_f,
+        dim_x=scr.dim_x,
+        is_fano=scr.is_fano,
+        positive_dimension=scr.positive_dimension,
+        excluded=scr.excluded,
+    )
+    assert by_keyword == scr and by_keyword.to_json() == scr.to_json()
+    a = TheoremReport(CTX25, "thm1", "irr[1,1]", "pass", scr)
+    b = TheoremReport(CTX25, "thm1", "irr[1,1]", "pass", scr)
+    assert a == b
+    assert (a.checks, a.witnesses, a.notes) == ([], [], [])
+    assert a.checks is not b.checks
+    assert a.witnesses is not b.witnesses and a.notes is not b.notes
+    a.checks.append(1)
+    assert b.checks == []
+    assert a != b
+
+
+def test_frozen_screen_records_refuse_assignment_and_deletion():
+    witness = ConditionWitness("4.1", 1, 0, (3, 0), True, True)
+    family = CandidateFamily((1, 1, 0), 4, 6, "ro4")
+    assert hash(witness) == hash(("4.1", 1, 0, (3, 0), True, True))
+    assert hash(family) == hash(((1, 1, 0), 4, 6, "ro4"))
+    for value in (witness, family):
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)

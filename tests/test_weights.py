@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -98,3 +100,17 @@ def test_canonical_roundtrip():
 
 def test_first_sum():
     assert w((3, 2)).first_sum() == 5
+
+
+def test_context_and_weight_are_hashable_frozen_values():
+    v = w((2, 1))
+    assert hash(CTX) == hash((2, 5))
+    assert hash(v) == hash((CTX, (2, 1), (0, 0, 0)))
+    assert CTX != (2, 5) and v != (CTX, (2, 1), (0, 0, 0))
+    for value, name in ((CTX, "k"), (CTX, "n"), (v, "ctx"), (v, "first"), (v, "second")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (CTX.k, CTX.n, v.first) == (2, 5, (2, 1))
+    assert copy.deepcopy(v) == v == pickle.loads(pickle.dumps(v))
