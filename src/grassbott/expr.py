@@ -13,12 +13,13 @@ Grammar (all prefix, ASCII, whitespace tolerated)::
           | "sum(" expr "," expr ")"
 
 ``irr`` lists the k-block entries; the second block is zero unless a
-``|`` separator appears.  ``parse_expr`` followed by ``to_text`` is the
+``|`` separator appears.  One operator table drives both ``parse_expr``
+and ``to_text``, and ``parse_expr`` followed by ``to_text`` is the
 identity on canonical forms.
 
 Nodes are immutable, hashable slotted values with class-sensitive
 equality: ``Wedge(2, Q) != Sym(2, Q)``, and ``hash`` is the hash of the
-field tuple.
+field tuple.  Each atom (``Q``, ``S``, ``Theta``) has a single instance.
 """
 
 from __future__ import annotations
@@ -39,17 +40,14 @@ class Expr(Record, frozen=True):
 
 
 class _Atom(Expr):
-    """A node without fields; every instance equals every other."""
+    """A node without fields; each atom class has a single instance."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
+    def __new__(cls):
+        if "_instance" not in cls.__dict__:
+            cls._instance = super().__new__(cls)
+        return cls._instance
 
 
 class Quotient(_Atom):
@@ -104,7 +102,9 @@ class Line(Expr):
         return hash((self.r,))
 
 
-class Wedge(Expr):
+class _Power(Expr):
+    """A power of one child: ``Wedge`` or ``Sym``."""
+
     __slots__ = ("p", "child")
 
     def __init__(self, p: int, child: Expr):
@@ -120,20 +120,12 @@ class Wedge(Expr):
         return hash((self.p, self.child))
 
 
-class Sym(Expr):
-    __slots__ = ("p", "child")
+class Wedge(_Power):
+    __slots__ = ()
 
-    def __init__(self, p: int, child: Expr):
-        _set(self, "p", p)
-        _set(self, "child", child)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.child) == (other.p, other.child)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.child))
+class Sym(_Power):
+    __slots__ = ()
 
 
 class Dual(Expr):
@@ -167,7 +159,9 @@ class Twist(Expr):
         return hash((self.child, self.r))
 
 
-class Tensor(Expr):
+class _Pair(Expr):
+    """A binary node: ``Tensor`` or ``DirectSum``."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
@@ -183,56 +177,56 @@ class Tensor(Expr):
         return hash((self.left, self.right))
 
 
-class DirectSum(Expr):
-    __slots__ = ("left", "right")
+class Tensor(_Pair):
+    __slots__ = ()
 
-    def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+class DirectSum(_Pair):
+    __slots__ = ()
 
 
 Q = Quotient()
 S = Sub()
 THETA = Tangent()
 
+# operator name -> (node class, argument kinds in text order); a node's
+# fields are its arguments in the same order.  An operator without
+# arguments is written without parentheses.  ``irr[...]`` has its own
+# syntax and is not listed.
+_OPERATORS = {
+    "Q": (Quotient, ()),
+    "S": (Sub, ()),
+    "Theta": (Tangent, ()),
+    "O": (Line, ("int",)),
+    "wedge": (Wedge, ("int", "expr")),
+    "sym": (Sym, ("int", "expr")),
+    "dual": (Dual, ("expr",)),
+    "twist": (Twist, ("expr", "int")),
+    "tensor": (Tensor, ("expr", "expr")),
+    "sum": (DirectSum, ("expr", "expr")),
+}
+_NAMES = {cls: name for name, (cls, _) in _OPERATORS.items()}
+
 
 def to_text(e: Expr) -> str:
     """Canonical text form of an expression (inverse of parse_expr)."""
-    if isinstance(e, Quotient):
-        return "Q"
-    if isinstance(e, Sub):
-        return "S"
-    if isinstance(e, Tangent):
-        return "Theta"
-    if isinstance(e, Line):
-        return f"O({e.r})"
     if isinstance(e, Irr):
         first = ",".join(str(x) for x in e.weight.first)
         if any(e.weight.second):
             second = ",".join(str(x) for x in e.weight.second)
             return f"irr[{first}|{second}]"
         return f"irr[{first}]"
-    if isinstance(e, Wedge):
-        return f"wedge({e.p},{to_text(e.child)})"
-    if isinstance(e, Sym):
-        return f"sym({e.p},{to_text(e.child)})"
-    if isinstance(e, Dual):
-        return f"dual({to_text(e.child)})"
-    if isinstance(e, Twist):
-        return f"twist({to_text(e.child)},{e.r})"
-    if isinstance(e, Tensor):
-        return f"tensor({to_text(e.left)},{to_text(e.right)})"
-    if isinstance(e, DirectSum):
-        return f"sum({to_text(e.left)},{to_text(e.right)})"
-    raise StructureError(f"unknown expression node {e!r}")
+    name = _NAMES.get(e.__class__)
+    if name is None:
+        raise StructureError(f"unknown expression node {e!r}")
+    kinds = _OPERATORS[name][1]
+    if not kinds:
+        return name
+    args = ",".join(
+        to_text(value) if kind == "expr" else str(value)
+        for kind, value in zip(kinds, e._values())
+    )
+    return f"{name}({args})"
 
 
 _TOKEN = re.compile(r"\s*(?:(-?\d+)|([A-Za-z]+)|([()\[\],|]))")
@@ -294,46 +288,21 @@ class _Parser:
             raise ParseError(f"expected an expression, found {found}", tok[2])
         name = tok[1]
         self.i += 1
-        if name == "Q":
-            return Q
-        if name == "S":
-            return S
-        if name == "Theta":
-            return THETA
-        if name == "O":
-            self.take("punct", "(")
-            r = self.int_arg()
-            self.take("punct", ")")
-            return Line(r)
         if name == "irr":
             return self.irr(tok[2])
-        if name in ("wedge", "sym"):
-            self.take("punct", "(")
-            p = self.int_arg()
-            self.take("punct", ",")
-            child = self.expr()
-            self.take("punct", ")")
-            return Wedge(p, child) if name == "wedge" else Sym(p, child)
-        if name == "dual":
-            self.take("punct", "(")
-            child = self.expr()
-            self.take("punct", ")")
-            return Dual(child)
-        if name == "twist":
-            self.take("punct", "(")
-            child = self.expr()
-            self.take("punct", ",")
-            r = self.int_arg()
-            self.take("punct", ")")
-            return Twist(child, r)
-        if name in ("tensor", "sum"):
-            self.take("punct", "(")
-            left = self.expr()
-            self.take("punct", ",")
-            right = self.expr()
-            self.take("punct", ")")
-            return Tensor(left, right) if name == "tensor" else DirectSum(left, right)
-        raise ParseError(f"unknown operator {name!r}", tok[2])
+        if name not in _OPERATORS:
+            raise ParseError(f"unknown operator {name!r}", tok[2])
+        cls, kinds = _OPERATORS[name]
+        if not kinds:
+            return cls()
+        self.take("punct", "(")
+        args = []
+        for kind in kinds:
+            if args:
+                self.take("punct", ",")
+            args.append(self.expr() if kind == "expr" else self.int_arg())
+        self.take("punct", ")")
+        return cls(*args)
 
     def irr(self, at: int) -> Expr:
         self.take("punct", "[")

@@ -154,30 +154,6 @@ class ConditionWitness(Record, frozen=True):
         _set(self, "bound_holds", bound_holds)
         _set(self, "fano_line", fano_line)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.system,
-                self.s,
-                self.r,
-                self.weight,
-                self.bound_holds,
-                self.fano_line,
-            ) == (
-                other.system,
-                other.s,
-                other.r,
-                other.weight,
-                other.bound_holds,
-                other.fano_line,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (self.system, self.s, self.r, self.weight, self.bound_holds, self.fano_line)
-        )
-
 
 def _rank_bound_42(k: int, n: int, size: int, rank: int, s: int) -> bool:
     # rank * size < k^2 (k-1) / (s (size-1)) + k^2, cross-multiplied.
@@ -330,9 +306,6 @@ class CandidateFamily(Record, frozen=True):
         _set(self, "n_min", n_min)
         _set(self, "n_max", n_max)
         _set(self, "family", family)
-
-    def __hash__(self):
-        return hash(self._values())
 
     def to_json(self) -> dict:
         return {

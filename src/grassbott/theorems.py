@@ -23,6 +23,9 @@ twisted weights.
 
 The second scan checks H^p(Gr, F (x) wedge^p F*) = 0 for p >= 1 and
 H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.
+
+A scan returns its witnesses, the nonzero groups, in (p, r) order; a
+group that vanishes leaves no record.
 """
 
 from __future__ import annotations
@@ -43,22 +46,6 @@ from .screens import (
     screen,
 )
 from .weights import BlockWeight, GrassContext, is_globally_generated, twist
-
-
-class CheckEntry(Record):
-    """One scanned cohomology group."""
-
-    __slots__ = ("group", "p", "r", "dim")
-
-    def __init__(self, group: str, p: int, r: int | None, dim: int):
-        self.group = group
-        self.p = p
-        self.r = r
-        self.dim = dim
-
-    @property
-    def passed(self) -> bool:
-        return self.dim == 0
 
 
 class ScanWitness(Record):
@@ -96,7 +83,6 @@ class TheoremReport(Record):
         "f_text",
         "verdict",
         "screen",
-        "checks",
         "witnesses",
         "projectively_normal",
         "connected_h0",
@@ -110,7 +96,6 @@ class TheoremReport(Record):
         f_text: str,
         verdict: str,  # "pass" | "fail" | "not-applicable"
         screen: ScreenReport,
-        checks: list | None = None,
         witnesses: list | None = None,
         projectively_normal: bool | None = None,
         connected_h0: str | None = None,
@@ -121,7 +106,6 @@ class TheoremReport(Record):
         self.f_text = f_text
         self.verdict = verdict
         self.screen = screen
-        self.checks = [] if checks is None else checks
         self.witnesses = [] if witnesses is None else witnesses
         self.projectively_normal = projectively_normal
         self.connected_h0 = connected_h0
@@ -169,8 +153,9 @@ def _b_max(weights) -> int:
     return max(w.first[0] for w in weights)
 
 
-def _group_profile(ctx: GrassContext, e: ex.Expr, degree: int):
-    """Dimension of H^degree together with the contributing summands."""
+def _group_witness(ctx: GrassContext, group: str, p: int, e: ex.Expr, degree: int):
+    """The witness for a nonzero H^degree(e) with its contributing
+    summands, or None when the group vanishes."""
     dim = 0
     contributing = []
     for w, m in evaluate(e, ctx).items():
@@ -178,25 +163,29 @@ def _group_profile(ctx: GrassContext, e: ex.Expr, degree: int):
         if found is not None and found[0] == degree:
             dim += m * sl_dim(found[1])
             contributing.append(w)
-    return dim, tuple(sorted(contributing, key=lambda w: w.canonical()))
+    if not dim:
+        return None
+    return ScanWitness(
+        group, p, None, dim, tuple(sorted(contributing, key=BlockWeight.canonical))
+    )
 
 
 def _wedge_dual(f: ex.Expr, p: int) -> ex.Expr:
     return ex.Wedge(p, ex.Dual(f))
 
 
-def scan_normality(ctx: GrassContext, f: ex.Expr):
-    """Scan H^p((wedge^p F*)(r)) over p in [1, rank F], r in [0, p*b_max]."""
+def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
+    """Witnesses of H^p((wedge^p F*)(r)) != 0 over p in [1, rank F],
+    r in [0, p*b_max], in (p, r) order."""
     weights = _summand_weights(ctx, f)
     rank_f = evaluate(f, ctx).rank()
     b_max = _b_max(weights)
 
-    def scan_p(p: int):
-        twists = range(0, p * b_max + 1)
-        dims = [0] * len(twists)
-        contrib = [[] for _ in twists]
+    def scan_p(p: int) -> list:
+        # r -> [dim, contributing summands], for the twists with H^p != 0
+        hits = {}
         for w, m in evaluate(_wedge_dual(f, p), ctx).items():
-            for r in twists:
+            for r in range(0, p * b_max + 1):
                 found = straighten(tuple(x + r for x in w.first) + w.second)
                 if found is None:
                     continue
@@ -204,47 +193,37 @@ def scan_normality(ctx: GrassContext, f: ex.Expr):
                 if degree < p:
                     break
                 if degree == p:
-                    dims[r] += m * sl_dim(dominant)
-                    contrib[r].append(w)
-        checks, witnesses = [], []
-        for r in twists:
-            checks.append(CheckEntry(f"H^{p}((wedge^{p} F*)({r}))", p, r, dims[r]))
-            if dims[r]:
-                twisted = tuple(
-                    sorted((twist(w, r) for w in contrib[r]), key=BlockWeight.canonical)
-                )
-                witnesses.append(ScanWitness("thm1", p, r, dims[r], twisted))
-        return checks, witnesses
+                    hit = hits.setdefault(r, [0, []])
+                    hit[0] += m * sl_dim(dominant)
+                    hit[1].append(w)
+        return [
+            ScanWitness(
+                "thm1",
+                p,
+                r,
+                dim,
+                tuple(sorted((twist(w, r) for w in contrib), key=BlockWeight.canonical)),
+            )
+            for r, (dim, contrib) in sorted(hits.items())
+        ]
 
-    results = parallel_map(scan_p, range(1, rank_f + 1))
-    checks = [c for cs, _ in results for c in cs]
-    witnesses = [w for _, ws in results for w in ws]
-    return checks, witnesses
+    return [w for ws in parallel_map(scan_p, range(1, rank_f + 1)) for w in ws]
 
 
-def scan_deformation(ctx: GrassContext, f: ex.Expr):
-    """Scan the two vanishing families behind the deformation theorem."""
+def scan_deformation(ctx: GrassContext, f: ex.Expr) -> list:
+    """Witnesses of the two vanishing families behind the deformation
+    theorem, in p order with 5.1a before 5.1b."""
     rank_f = evaluate(f, ctx).rank()
 
-    def scan_p(p: int):
-        checks, witnesses = [], []
-        if p >= 1:
-            e = ex.Tensor(f, _wedge_dual(f, p))
-            dim, contrib = _group_profile(ctx, e, p)
-            checks.append(CheckEntry(f"H^{p}(F (x) wedge^{p} F*)", p, None, dim))
-            if dim:
-                witnesses.append(ScanWitness("5.1a", p, None, dim, contrib))
-        e = ex.Tensor(ex.THETA, _wedge_dual(f, p))
-        dim, contrib = _group_profile(ctx, e, p + 1)
-        checks.append(CheckEntry(f"H^{p + 1}(Theta (x) wedge^{p} F*)", p, None, dim))
-        if dim:
-            witnesses.append(ScanWitness("5.1b", p, None, dim, contrib))
-        return checks, witnesses
+    def scan_p(p: int) -> list:
+        dual = _wedge_dual(f, p)
+        found = (
+            _group_witness(ctx, "5.1a", p, ex.Tensor(f, dual), p) if p >= 1 else None,
+            _group_witness(ctx, "5.1b", p, ex.Tensor(ex.THETA, dual), p + 1),
+        )
+        return [w for w in found if w is not None]
 
-    results = parallel_map(scan_p, range(0, rank_f + 1))
-    checks = [c for cs, _ in results for c in cs]
-    witnesses = [w for _, ws in results for w in ws]
-    return checks, witnesses
+    return [w for ws in parallel_map(scan_p, range(0, rank_f + 1)) for w in ws]
 
 
 def _sort_witnesses(witnesses) -> list:
@@ -296,22 +275,16 @@ def _connected_h0(ctx, f) -> tuple[str | None, list]:
 
 
 def _report(ctx: GrassContext, theorem: str, f: ex.Expr, scans) -> TheoremReport:
-    """Screen F, run the scans on it and collect their checks and sorted
-    witnesses into a report with its verdict."""
+    """Screen F, run the scans on it and collect their sorted witnesses
+    into a report with its verdict."""
     screen_rep = screen(ctx, _summand_weights(ctx, f))
-    checks, witnesses = [], []
-    for scan in scans:
-        scan_checks, scan_witnesses = scan(ctx, f)
-        checks += scan_checks
-        witnesses += scan_witnesses
-    witnesses = _sort_witnesses(witnesses)
+    witnesses = _sort_witnesses([w for scan in scans for w in scan(ctx, f)])
     return TheoremReport(
         ctx=ctx,
         theorem=theorem,
         f_text=ex.to_text(f),
         verdict=_verdict(screen_rep, witnesses),
         screen=screen_rep,
-        checks=checks,
         witnesses=witnesses,
     )
 
@@ -405,8 +378,8 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     k, n = ctx.k, ctx.n
     step = n - k
 
-    _, thm1_failures = scan_normality(ctx, f)
-    _, def_failures = scan_deformation(ctx, f)
+    thm1_failures = scan_normality(ctx, f)
+    def_failures = scan_deformation(ctx, f)
     fail_a = [w for w in def_failures if w.group == "5.1a"]
     fail_b = [w for w in def_failures if w.group == "5.1b"]
 

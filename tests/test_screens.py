@@ -203,7 +203,7 @@ def test_relaxed_witness_matches_scan_exactly():
         ]
         for first in betas:
             f = ex.Irr(BlockWeight.from_first(ctx, first))
-            _, failures = scan_normality(ctx, f)
+            failures = scan_normality(ctx, f)
             scan_keys = {(w.p, w.r) for w in failures}
             relaxed = find_witnesses_41(ctx, first)
             witness_keys = {(w.s * (n - k), w.r) for w in relaxed}

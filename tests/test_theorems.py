@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import warnings
 
@@ -7,13 +9,20 @@ from grassbott import expr as ex
 from grassbott.bott import bott_irreducible, cohomology
 from grassbott.dims import sl_dim, straighten
 from grassbott.errors import StructureError
-from grassbott.screens import CandidateFamily, ConditionWitness, ScreenReport, screen
+from grassbott.screens import (
+    CandidateFamily,
+    ConditionWitness,
+    ScreenReport,
+    _partitions_at_most,
+    screen,
+)
 from grassbott.theorems import (
     TheoremReport,
     check_theorem1,
     check_theorem2,
     check_theorem3,
     cross_validate,
+    scan_deformation,
     scan_normality,
 )
 from grassbott.schur import evaluate
@@ -186,19 +195,46 @@ def test_twist_walk_matches_tensor_route(ctx, text):
     f = ex.parse_expr(text, ctx)
     rank = evaluate(f, ctx).rank()
     b_max = max(w.first[0] for w, _ in evaluate(f, ctx).items())
-    checks, witnesses = scan_normality(ctx, f)
-    assert [(c.p, c.r) for c in checks] == [
-        (p, r) for p in range(1, rank + 1) for r in range(p * b_max + 1)
-    ]
+    witnesses = scan_normality(ctx, f)
     assert witnesses
     by_twist = {(w.p, w.r): w for w in witnesses}
-    for c in checks:
-        dim, weights = _tensor_route(ctx, f, c.p, c.r)
-        assert c.dim == dim, (c.p, c.r)
-        wit = by_twist.get((c.p, c.r))
-        found = (wit.dim, wit.weights) if wit else (0, ())
-        assert found == (dim, weights), (c.p, c.r)
     assert len(by_twist) == len(witnesses)
+    groups = [(p, r) for p in range(1, rank + 1) for r in range(p * b_max + 1)]
+    # witnesses come in (p, r) order and only from the scan range
+    assert [(w.p, w.r) for w in witnesses] == [g for g in groups if g in by_twist]
+    for p, r in groups:
+        # a group without a witness vanishes on the tensor route
+        wit = by_twist.get((p, r))
+        found = (wit.dim, wit.weights) if wit else (0, ())
+        assert found == _tensor_route(ctx, f, p, r), (p, r)
+
+
+# sha256 over the JSON witness lists of both scans on every k-block
+# weight of Gr(2,5) and Gr(2,6) with 1 <= |beta| < nk and rank <= 20,
+# recorded when each scan also returned a record of every group it visited
+SCAN_GOLDEN = "e5807376759cbff2954546393629e24c0b0f2e15c5e0034bf60a969b24d767a1"
+
+
+def test_scan_witness_golden():
+    digest = hashlib.sha256()
+    weights = 0
+    groups = {}
+    for n in (5, 6):
+        ctx = GrassContext(2, n)
+        for size in range(1, 2 * n):
+            for beta in _partitions_at_most(size, 2, size):
+                if sl_dim(beta) > 20:
+                    continue
+                weights += 1
+                f = ex.Irr(BlockWeight.from_first(ctx, beta))
+                for scan in (scan_normality, scan_deformation):
+                    witnesses = scan(ctx, f)
+                    for w in witnesses:
+                        groups[w.group] = groups.get(w.group, 0) + 1
+                    digest.update(json.dumps([w.to_json() for w in witnesses]).encode())
+    assert weights == 70
+    assert groups == {"thm1": 790, "5.1a": 38, "5.1b": 37}
+    assert digest.hexdigest() == SCAN_GOLDEN
 
 
 def _random_dominant(rng, length, lo, hi):
@@ -234,7 +270,7 @@ def test_cross_validate_surfaces_chain_discrepancy():
     probe = [m for m in report.mismatches if "(6, 3)" in m]
     assert probe and "Fano-range" in probe[0]
     # every scan failure is accounted for: matched or reported
-    _, failures = scan_normality(CTX25, irr_expr(CTX25, (3, 0)))
+    failures = scan_normality(CTX25, irr_expr(CTX25, (3, 0)))
     assert len(report.matches) + len(report.mismatches) >= len(failures)
 
 
@@ -290,11 +326,15 @@ def test_report_records():
     a = TheoremReport(CTX25, "thm1", "irr[1,1]", "pass", scr)
     b = TheoremReport(CTX25, "thm1", "irr[1,1]", "pass", scr)
     assert a == b
-    assert (a.checks, a.witnesses, a.notes) == ([], [], [])
-    assert a.checks is not b.checks
+    assert (a.witnesses, a.notes) == ([], [])
     assert a.witnesses is not b.witnesses and a.notes is not b.notes
-    a.checks.append(1)
-    assert b.checks == []
+    a.witnesses.append(1)
+    assert b.witnesses == []
+    assert a != b
+    b.witnesses.append(1)
+    assert a == b
+    a.notes.append("note")
+    assert b.notes == []
     assert a != b
 
 
