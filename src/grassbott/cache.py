@@ -59,7 +59,7 @@ class Store:
                 entry = json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # bad JSON or not UTF-8
             warnings.warn(f"corrupt cache entry {path.name} ignored ({err})")
             return None
         if (

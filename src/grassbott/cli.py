@@ -240,7 +240,7 @@ def run(args) -> int:
         weights: list[BlockWeight] = []
         for text in ex.split_expr_list(args.F):
             d = schur.evaluate(ex.parse_expr(text, ctx), ctx)
-            for w, m in d.items():
+            for w, m in sorted(d.items(), key=lambda t: t[0].canonical()):
                 weights.extend([w] * m)
         report = screens.screen(ctx, weights)
         data = report.to_json()

@@ -18,11 +18,17 @@ Two independent routes are kept for the plethysm operations:
 Tensor products of decompositions use a Littlewood-Richardson tableau
 walk per block.  All kernel functions work on plain integer tuples (one
 block at a time); the cached kernels return read-only mappings that
-must never be mutated.
+must never be mutated.  Characters are keyed by concatenated length-n
+weights; every decomposition kernel produces ``{(first, second):
+multiplicity}`` pairs, and :func:`_from_pairs` is the one builder that
+turns them into a :class:`Decomposition`.  A decomposition is a
+multiset: the iteration order of its table carries no meaning, and
+every printed form sorts it canonically.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -86,9 +92,10 @@ def _gt_character(lam: tuple):
 
 def _peel(table: dict, k: int) -> dict[tuple, int]:
     """Decompose a genuine two-block character (keys are concatenated
-    tuples, the first ``k`` entries forming the first block) by
-    repeatedly removing the character of its lexicographically largest
-    weight.  A one-block character is the case of an empty second block.
+    tuples, the first ``k`` entries forming the first block) into
+    (first, second) pairs by repeatedly removing the character of its
+    lexicographically largest weight.  A one-block character is the
+    case of an empty second block.
 
     A negative multiplicity or a non-dominant top weight raises
     :class:`NotACharacterError`.
@@ -103,7 +110,7 @@ def _peel(table: dict, k: int) -> dict[tuple, int]:
             raise NotACharacterError(
                 f"peeling hit weight {top} with multiplicity {c}"
             )
-        out[top] = c
+        out[first, second] = c
         for f, a in _gt_character(first).items():
             for s, b in _gt_character(second).items():
                 key = f + s
@@ -180,13 +187,15 @@ def _lr_core(lam: tuple, mu: tuple):
 
 
 def _pair_mul(a: dict, b: dict) -> dict:
+    """Pairs of the tensor product of two decomposition tables, by
+    Littlewood-Richardson on each block."""
     out: dict = {}
-    for (f1, s1), c1 in a.items():
-        for (f2, s2), c2 in b.items():
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
             c = c1 * c2
-            for fw, fc in _lr_pair(f1, f2).items():
+            for fw, fc in _lr_pair(w1.first, w2.first).items():
                 cf = c * fc
-                for sw, sc in _lr_pair(s1, s2).items():
+                for sw, sc in _lr_pair(w1.second, w2.second).items():
                     key = (fw, sw)
                     nv = out.get(key, 0) + cf * sc
                     if nv:
@@ -198,14 +207,15 @@ def _pair_mul(a: dict, b: dict) -> dict:
 
 def _racah_speiser(char: dict, k: int) -> dict:
     """Decompose a Weyl-group-invariant two-block character (keys are
-    concatenated length-n weights) into dominant highest weights by
-    straightening every weight, one block at a time."""
+    concatenated length-n weights) into (first, second) pairs of
+    dominant highest weights by straightening every weight, one block
+    at a time."""
     out: dict = {}
     for w, m in char.items():
         s1, s2 = straighten(w[:k]), straighten(w[k:])
         if s1 is None or s2 is None:
             continue
-        key = s1[1] + s2[1]
+        key = s1[1], s2[1]
         nv = out.get(key, 0) + (-m if (s1[0] + s2[0]) % 2 else m)
         if nv:
             out[key] = nv
@@ -245,41 +255,6 @@ def _power_char(char: dict, p: int, kind: str) -> dict:
                     key = tuple([a + b for a, b in zip(v, w)])
                     dst[key] = dst.get(key, 0) + c
     return levels[p]
-
-
-# ---------------------------------------------------------------------------
-# Public single-block surface
-# ---------------------------------------------------------------------------
-
-
-class Character(Record):
-    """Weight multiset of a GL(k) representation."""
-
-    __slots__ = ("k", "table")
-
-    def __init__(self, k: int, table: dict | None = None):
-        self.k = k
-        self.table = {} if table is None else table
-
-    def mass(self) -> int:
-        """Total multiplicity; equals the dimension for a genuine character."""
-        return sum(self.table.values())
-
-
-def gt_weights(lam, k: int | None = None) -> Character:
-    """Character of the GL(k) irreducible with highest weight ``lam``."""
-    lam = tuple(int(x) for x in lam)
-    if k is None:
-        k = len(lam)
-    if len(lam) != k:
-        raise StructureError(f"weight length {len(lam)} != k={k}")
-    return Character(k, dict(_gt_character(lam)))
-
-
-def decompose_character(c: Character) -> dict[tuple, int]:
-    """Highest-weight peeling of a genuine character; returns the map
-    from dominant weights to multiplicities."""
-    return _peel(c.table, c.k)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +311,12 @@ class Decomposition(Record):
         return cls(ctx, table)
 
 
-def _to_pairs(d: Decomposition) -> dict:
-    return {(w.first, w.second): m for w, m in d.table.items()}
-
-
-def _from_pairs(ctx: GrassContext, vd: dict) -> Decomposition:
+def _from_pairs(ctx: GrassContext, pairs: dict) -> Decomposition:
+    """The decomposition with the given (first, second) pairs; a
+    negative multiplicity, a virtual term in what should be a genuine
+    representation, raises :class:`NotACharacterError`."""
     table = {}
-    for (f, s), m in vd.items():
-        if m == 0:
-            continue
+    for (f, s), m in pairs.items():
         if m < 0:
             raise NotACharacterError(f"negative multiplicity at {(f, s)}")
         table[BlockWeight(ctx, f, s)] = m
@@ -355,7 +327,7 @@ def lr_tensor(a: Decomposition, b: Decomposition) -> Decomposition:
     """Tensor product, Littlewood-Richardson per block."""
     if a.ctx != b.ctx:
         raise StructureError(f"context mismatch: {a.ctx} vs {b.ctx}")
-    return _from_pairs(a.ctx, _pair_mul(_to_pairs(a), _to_pairs(b)))
+    return _from_pairs(a.ctx, _pair_mul(a.table, b.table))
 
 
 def _det_pair(char: dict, k: int, nk: int):
@@ -375,42 +347,30 @@ def _det_pair(char: dict, k: int, nk: int):
 def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
     ctx = d.ctx
     k, nk = ctx.k, ctx.n - ctx.k
+    if p == 0:
+        return _from_pairs(ctx, {((0,) * k, (0,) * nk): 1})
     rank = d.rank()
-    if p == 0 or not d.table:
-        # the zeroth power is trivial; higher powers of a rank-zero
-        # bundle vanish
-        if p == 0:
-            unit = BlockWeight(ctx, (0,) * k, (0,) * nk)
-            return Decomposition(ctx, {unit: 1})
-        return Decomposition(ctx, {})
-    if kind == "wedge" and p > rank:
-        return Decomposition(ctx, {})
+    if rank == 0 or (kind == "wedge" and p > rank):
+        # higher powers of a rank-zero bundle vanish, and so do exterior
+        # powers beyond the rank
+        return _from_pairs(ctx, {})
     char = _full_char(d)
     if kind == "wedge" and 2 * p > rank:
         # wedge^p = (wedge^(rank-p))* (x) det, which keeps the series
         # at degree rank/2 and the straightened character small
         d1, d2 = _det_pair(char, k, nk)
-        dec = {
-            tuple(d1 - x for x in reversed(w[:k]))
-            + tuple(d2 - x for x in reversed(w[k:])): c
-            for w, c in _racah_speiser(_power_char(char, rank - p, kind), k).items()
+        low = _racah_speiser(_power_char(char, rank - p, kind), k)
+        pairs = {
+            (tuple(d1 - x for x in f[::-1]), tuple(d2 - x for x in s[::-1])): c
+            for (f, s), c in low.items()
         }
     else:
-        dec = _racah_speiser(_power_char(char, p, kind), k)
+        pairs = _racah_speiser(_power_char(char, p, kind), k)
+    out = _from_pairs(ctx, pairs)
     expected = comb(rank, p) if kind == "wedge" else comb(rank + p - 1, p)
-    total = 0
-    summands = []
-    for w, c in dec.items():
-        if c <= 0:
-            raise AssertionError(f"virtual term {w}: {c} in a genuine power")
-        bw = BlockWeight(ctx, w[:k], w[k:])
-        total += c * block_rank(bw)
-        summands.append((bw.canonical(), bw, c))
-    if total != expected:
-        raise AssertionError(f"rank mismatch: {total} != {expected}")
-    # canonical order, the order a decomposition read back from the
-    # disk cache has
-    return Decomposition(ctx, {bw: c for _, bw, c in sorted(summands)})
+    if out.rank() != expected:
+        raise AssertionError(f"rank mismatch: {out.rank()} != {expected}")
+    return out
 
 
 def oracle_power(d: Decomposition, p: int, kind: str) -> Decomposition:
@@ -429,10 +389,9 @@ def oracle_power(d: Decomposition, p: int, kind: str) -> Decomposition:
             f"oracle would enumerate about {est} subsets (budget {ORACLE_BUDGET})"
         )
     if p == 0:
-        unit = BlockWeight(ctx, (0,) * k, (0,) * (n - k))
-        return Decomposition(ctx, {unit: 1})
+        return _from_pairs(ctx, {((0,) * k, (0,) * (n - k)): 1})
     if not char:
-        return Decomposition(ctx, {})
+        return _from_pairs(ctx, {})
     # Pack each weight into one integer, digit per coordinate, so the
     # subset sums run through the C-level combinations/sum machinery;
     # the base is wide enough that digits never carry.
@@ -449,8 +408,7 @@ def oracle_power(d: Decomposition, p: int, kind: str) -> Decomposition:
     shift = p * spread
     for code, c in packed.items():
         counts[tuple((code // powers[i]) % base - shift for i in range(n))] = c
-    peeled = _peel(counts, k)
-    return _from_pairs(ctx, {(w[:k], w[k:]): m for w, m in peeled.items()})
+    return _from_pairs(ctx, _peel(counts, k))
 
 
 def wedge_power(d: Decomposition, p: int) -> Decomposition:
@@ -494,14 +452,19 @@ def set_store(store) -> None:
 def _through_store(operation: str, e: ex.Expr, ctx: GrassContext, compute, dump, load):
     """``compute()``, read from and written back to the attached store
     under ``operation`` and the key of ``(e, ctx)``; ``dump`` turns a
-    result into the stored JSON value and ``load`` turns it back."""
+    result into the stored JSON value and ``load`` turns it back.  A
+    stored value that ``load`` rejects is a corrupt entry: it is
+    reported through :func:`warnings.warn`, recomputed and overwritten."""
     store = _store
     if store is None:
         return compute()
     key = f"{ctx}|{ex.to_text(e)}"
     cached = store.get(operation, key)
     if cached is not None:
-        return load(cached)
+        try:
+            return load(cached)
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            warnings.warn(f"corrupt cache entry {operation} {key} ignored ({err!r})")
     result = compute()
     store.put(operation, key, dump(result))
     return result

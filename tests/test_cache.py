@@ -41,9 +41,10 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     store = Store(tmp_path)
     store.put("op", "k", {"x": 1})
     (entry,) = list(tmp_path.glob("*.json"))
-    entry.write_text("{ not json")
-    with pytest.warns(UserWarning, match="corrupt cache entry"):
-        assert store.get("op", "k") is None
+    for garbage in (b"{ not json", b"\xff\xfe not utf-8"):
+        entry.write_bytes(garbage)
+        with pytest.warns(UserWarning, match="corrupt cache entry"):
+            assert store.get("op", "k") is None
 
 
 def test_schema_version_mismatch_is_a_miss(tmp_path):

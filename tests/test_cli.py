@@ -106,6 +106,32 @@ def test_unusable_cache_dir_is_one_warning_line(tmp_path):
     assert line.startswith(f"warning: cache disabled: cannot create {blocker / 'sub'} (")
 
 
+def test_undecodable_cache_value_is_one_warning_line(tmp_path):
+    # an entry that parses as JSON but whose value does not load is a
+    # corrupt entry: a miss, recomputed and overwritten
+    args = ["rank", "sym(2,Q)", "--grass", "2,5"]
+    run_cli(args, tmp_path, check=True)
+    for path in (tmp_path / "cache").glob("*.json"):
+        entry = json.loads(path.read_text())
+        if entry["operation"] == "evaluate" and entry["key"] == "2,5|sym(2,Q)":
+            break
+    else:
+        raise AssertionError("no evaluate entry for sym(2,Q)")
+    weights = entry["value"]["weights"]
+    weights[next(iter(weights))] = "x"
+    path.write_text(json.dumps(entry))
+    proc = run_cli(args, tmp_path)
+    bare = run_cli(args + ["--no-cache"], tmp_path)
+    assert proc.returncode == bare.returncode == 0
+    assert proc.stdout == bare.stdout
+    (line,) = proc.stderr.splitlines()
+    assert proc.stderr == line + "\n"
+    assert line.startswith("warning: corrupt cache entry ")
+    assert " ignored (" in line
+    again = run_cli(args, tmp_path)
+    assert again.stdout == bare.stdout and again.stderr == ""
+
+
 def test_cli_import_leaves_out_logging_threads_and_dataclasses(tmp_path):
     code = (
         "import sys, grassbott.cli; "
@@ -169,12 +195,15 @@ def test_usage_error_exit_code(tmp_path):
 
 
 def test_cache_flag_outputs_identical(tmp_path):
-    # screen lists the summands of F in decomposition order, so a wedge
-    # with several summands shows whether a power read back from the
-    # store keeps the order of a freshly computed one
+    # screen prints the summands of F, so F with several summands (a
+    # power, a tensor product, a direct sum) shows whether a
+    # decomposition read back from the store prints like a freshly
+    # computed one
     for args in (
         ["bott", "tensor(Theta,wedge(2,dual(sym(2,Q))))", "--grass", "2,5"],
         ["screen", "--F", "wedge(3,irr[2,1,0])", "--grass", "3,6"],
+        ["screen", "--F", "tensor(Q,Q)", "--grass", "2,6"],
+        ["screen", "--F", "sum(sym(2,Q),O(1))", "--grass", "2,6"],
     ):
         cold = run_cli(args, tmp_path)
         warm = run_cli(args, tmp_path)  # second run reads the store
