@@ -1,22 +1,26 @@
 """Content-addressed persistence of computed values across CLI runs.
 
-One JSON file per entry under the cache root; the filename is the
-SHA-256 of (schema version, operation, canonical key).  Writes go to a
-temp file in the same directory followed by an atomic rename, so
-concurrent writers of the same key converge to one valid entry and
-readers never observe partial writes.  Corrupt or mismatched entries
-are treated as misses.  Problems with the store never fail a
-computation: they are reported through :func:`warnings.warn` and the
-store falls back to misses.
+One JSON file per entry under the cache root; the filename is a 64-bit
+digest (CRC-32 then Adler-32, in hex) of (schema version, operation,
+canonical key).  Each entry holds that full triple and a read checks it,
+so two keys whose names collide only ever miss each other's entries.
+zlib's checksums name the files because importing ``hashlib`` loads
+OpenSSL, milliseconds that every CLI process would pay; files under the
+earlier SHA-256 names are never read again.  Writes go to a temp file
+in the same directory followed by an atomic rename, so concurrent
+writers of the same key converge to one valid entry and readers never
+observe partial writes.  Corrupt or mismatched entries are treated as
+misses.  Problems with the store never fail a computation: they are
+reported through :func:`warnings.warn` and the store falls back to misses.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -45,10 +49,8 @@ class Store:
             self._disabled = True
 
     def _path(self, operation: str, key: str) -> Path:
-        digest = hashlib.sha256(
-            f"{SCHEMA_VERSION}\x00{operation}\x00{key}".encode()
-        ).hexdigest()
-        return self.root / f"{digest}.json"
+        b = f"{SCHEMA_VERSION}\x00{operation}\x00{key}".encode()
+        return self.root / f"{zlib.crc32(b):08x}{zlib.adler32(b):08x}.json"
 
     def get(self, operation: str, key: str):
         if self._disabled:

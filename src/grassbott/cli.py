@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success or a passing check, 1 when a check found
 witnesses or a cross-validation found mismatches, 2 on usage or parse
-errors.
+errors, 141 when the reader of stdout went away (broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -33,76 +34,74 @@ def _parse_int_list(text: str) -> tuple:
         raise StructureError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _common_flags(parser: argparse.ArgumentParser, grass: bool = True) -> None:
-    if grass:
-        parser.add_argument("--grass", metavar="K,N", help="Grassmannian context k,n")
-    parser.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="skip the persistent cache"
-    )
+_REQUIRED = dict(required=True)
+_EXPR = (("expr", {}),)
+
+# name, help, takes --grass, arguments as (flag, add_argument keywords);
+# every command also takes --format and --no-cache
+_COMMANDS = (
+    ("rank", "rank of a bundle expression", True, _EXPR),
+    ("dual", "decomposition of the dual bundle", True, _EXPR),
+    ("decompose", "irreducible decomposition", True, _EXPR),
+    ("bott", "cohomology profile", True, _EXPR),
+    ("koszul", "spectral-sequence verdict for the zero locus", True, (
+        ("--E", dict(required=True, help="coefficient bundle expression")),
+        ("--F", dict(required=True, help="section bundle expression")),
+        ("--target", dict(choices=("restriction", "ideal"), required=True)),
+        ("--degree", dict(type=int, required=True)),
+        ("--dump-table", dict(action="store_true", help="print the full table")),
+    )),
+    ("euler", "Euler characteristic of E restricted to X", True, (
+        ("--E", _REQUIRED), ("--F", _REQUIRED),
+    )),
+    ("hilbert", "chi(O_X(r)) over a twist range", True, (
+        ("--F", _REQUIRED),
+        ("--range", dict(required=True, metavar="LO..HI")),
+    )),
+    ("check", "run a theorem scan", True, (
+        ("theorem", dict(choices=("thm1", "thm2", "thm3"))),
+        ("--F", dict(required=True, help="expression (thm3: comma-separated list)")),
+    )),
+    ("screen", "Fano / dimension / exclusion screens", True, (
+        ("--F", dict(required=True, help="comma-separated summand expressions")),
+    )),
+    ("enumerate", "candidate enumeration", False, (
+        ("--lemma54", dict(action="store_true", required=True)),
+        ("--k", dict(type=int, required=True)),
+    )),
+    ("crossval", "cross-validate scans against witnesses", True, (
+        ("--beta", dict(required=True, metavar="B1,B2,...")),
+    )),
+)
+_NAMES = tuple(name for name, *_ in _COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``command``'s
+    alone: a process parses one command line, and building the other ten
+    subparsers was half of the parser's cost."""
     parser = argparse.ArgumentParser(
         prog="grassbott",
         description="Exact cohomology of homogeneous bundles on Grassmannians",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rank", help="rank of a bundle expression")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("dual", help="decomposition of the dual bundle")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("decompose", help="irreducible decomposition")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("bott", help="cohomology profile")
-    p.add_argument("expr")
-    _common_flags(p)
-
-    p = sub.add_parser("koszul", help="spectral-sequence verdict for the zero locus")
-    p.add_argument("--E", required=True, help="coefficient bundle expression")
-    p.add_argument("--F", required=True, help="section bundle expression")
-    p.add_argument("--target", choices=("restriction", "ideal"), required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--dump-table", action="store_true", help="print the full table")
-    _common_flags(p)
-
-    p = sub.add_parser("euler", help="Euler characteristic of E restricted to X")
-    p.add_argument("--E", required=True)
-    p.add_argument("--F", required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("hilbert", help="chi(O_X(r)) over a twist range")
-    p.add_argument("--F", required=True)
-    p.add_argument("--range", required=True, metavar="LO..HI")
-    _common_flags(p)
-
-    p = sub.add_parser("check", help="run a theorem scan")
-    p.add_argument("theorem", choices=("thm1", "thm2", "thm3"))
-    p.add_argument("--F", required=True, help="expression (thm3: comma-separated list)")
-    _common_flags(p)
-
-    p = sub.add_parser("screen", help="Fano / dimension / exclusion screens")
-    p.add_argument("--F", required=True, help="comma-separated summand expressions")
-    _common_flags(p)
-
-    p = sub.add_parser("enumerate", help="candidate enumeration")
-    p.add_argument("--lemma54", action="store_true", required=True)
-    p.add_argument("--k", type=int, required=True)
-    _common_flags(p, grass=False)
-
-    p = sub.add_parser("crossval", help="cross-validate scans against witnesses")
-    p.add_argument("--beta", required=True, metavar="B1,B2,...")
-    _common_flags(p)
-
+    # The top-level usage line, which an "unrecognized arguments" error
+    # prints, names every command in either build.  The full build leaves
+    # the metavar unset, because it also names the argument in the
+    # "invalid choice" and "required" errors.
+    metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, grass, arguments in _COMMANDS:
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if grass:
+            p.add_argument("--grass", metavar="K,N", help="Grassmannian context k,n")
+        p.add_argument(
+            "--format", choices=("json", "table"), default="json", help="output format"
+        )
+        p.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
     return parser
 
 
@@ -277,14 +276,26 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _NAMES else None
+    args = build_parser(command).parse_args(argv)
     with warnings.catch_warnings():
         # library warnings reach the user as one line, without the
         # Python source location
         warnings.showwarning = _print_warning
         try:
-            return run(args)
+            code = run(args)
+            sys.stdout.flush()  # a reader that went away shows here, not at exit
+            return code
+        except BrokenPipeError:
+            # Stop as quietly as a process killed by SIGPIPE, with its exit
+            # status; stdout goes to devnull so the flush at exit cannot
+            # raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         except (ParseError, StructureError, DomainError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -15,8 +15,6 @@ discrepancy).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import expr as ex
 from .dims import block_rank, sl_dim
 from .errors import DomainError, StructureError
@@ -46,7 +44,7 @@ class ScreenReport(Record):
         self,
         ctx: GrassContext,
         summands: tuple,
-        det_coefficient: Fraction,
+        det_coefficient: int,
         rank_f: int,
         dim_x: int,
         is_fano: bool,
@@ -106,15 +104,18 @@ def screen(ctx: GrassContext, summands) -> ScreenReport:
             raise DomainError(f"summand {w} is not globally generated")
         weights.append(w)
     weights = tuple(weights)
-    # The determinant coefficient is additive over direct summands, and
-    # every summand's term has the denominator k.
+    # The determinant coefficient is additive over direct summands; each
+    # summand's term rank * |lambda| / k is an integer, because
+    # det(E_lambda) is a power of det Q.
     numerator = 0
     rank_f = 0
     for w in weights:
         r = block_rank(w)
         rank_f += r
         numerator += r * w.first_sum()
-    coeff = Fraction(numerator, ctx.k)
+    coeff, rest = divmod(numerator, ctx.k)
+    if rest:
+        raise AssertionError("determinant coefficient is not an integer")
     dim_x = ctx.dimension - rank_f
     excluded = _excluded_tag(ctx, weights[0].first) if len(weights) == 1 else None
     return ScreenReport(

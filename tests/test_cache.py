@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +48,38 @@ def test_corrupt_entry_is_a_miss(tmp_path):
         entry.write_bytes(garbage)
         with pytest.warns(UserWarning, match="corrupt cache entry"):
             assert store.get("op", "k") is None
+
+
+def test_entry_file_name_is_pinned(tmp_path):
+    # crc32 then adler32 of b"1\x00evaluate\x002,5|sym(2,Q)"; a change of
+    # name orphans every entry users have on disk
+    path = Store(tmp_path)._path("evaluate", "2,5|sym(2,Q)")
+    assert path == tmp_path / "f3d46ad255ef06f1.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from grassbott.cache import Store; "
+        f"print(Store({str(tmp_path)!r})._path('evaluate', '2,5|sym(2,Q)').name)"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, path.name + "\n", "")
+
+
+def test_colliding_names_are_misses(tmp_path, monkeypatch):
+    monkeypatch.setattr(Store, "_path", lambda self, operation, key: self.root / "one.json")
+    store = Store(tmp_path)
+    store.put("evaluate", "a", 1)
+    assert store.get("evaluate", "b") is None
+    assert store.get("cohomology", "a") is None
+    assert store.get("evaluate", "a") == 1
+    store.put("evaluate", "b", 2)
+    assert store.get("evaluate", "a") is None
+    assert store.get("evaluate", "b") == 2
 
 
 def test_schema_version_mismatch_is_a_miss(tmp_path):

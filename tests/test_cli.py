@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from grassbott.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+COMMANDS = (
+    "rank", "dual", "decompose", "bott", "koszul", "euler", "hilbert",
+    "check", "screen", "enumerate", "crossval",
+)
 
 
 def _env(cache_dir):
@@ -145,6 +153,70 @@ def test_cli_import_leaves_out_logging_threads_and_dataclasses(tmp_path):
         env=_env(tmp_path / "cache"),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("module", ["grassbott.cli", "grassbott"])
+def test_import_leaves_out_openssl_and_decimal(module):
+    # -S keeps site hooks (.pth files) from importing anything first
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
+        "print(sorted({'hashlib', '_hashlib', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_broken_pipe_exits_141_without_traceback(tmp_path):
+    # the reader is gone before the command writes; thm1's report is
+    # written while it runs, rank's only by the final flush
+    for args in (
+        ["check", "thm1", "--F", "sym(3,Q)", "--grass", "2,5", "--no-cache"],
+        ["rank", "Q", "--grass", "2,5", "--no-cache"],
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "grassbott", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_env(tmp_path / "cache"),
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def _help(parser, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+def test_one_command_parser_matches_full_parser():
+    full = build_parser()
+    for name in COMMANDS:
+        alone = build_parser(name)
+        assert _help(alone, [name, "--help"]) == _help(full, [name, "--help"])
+        # printed with an "unrecognized arguments" error
+        assert alone.format_usage() == full.format_usage()
+
+
+def test_help_and_unknown_command_name_every_command(tmp_path):
+    proc = run_cli(["--help"], tmp_path)
+    assert proc.returncode == 0
+    assert re.findall(r"^    (\w+)  ", proc.stdout, re.M) == list(COMMANDS)
+    proc = run_cli(["nonsense"], tmp_path)
+    assert proc.returncode == 2
+    choices = re.search(r"invalid choice: 'nonsense' \(choose from (.*)\)$", proc.stderr, re.M)
+    assert [c.strip("'") for c in choices.group(1).split(", ")] == list(COMMANDS)
 
 
 def test_euler_hilbert_screen(tmp_path):

@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from grassbott.dims import sl_dim
 from grassbott.errors import DomainError, StructureError
+from grassbott.schur import _gt_character
 from grassbott.screens import (
     _partitions_at_most,
     enumerate_lemma54,
@@ -51,6 +54,27 @@ def test_screen_sum_additivity():
     assert rep.rank_f == 4
     assert rep.is_fano  # 6 > 4
     assert rep.excluded is None  # tags only apply to a single summand
+
+
+def _sweep_candidates():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sweep_candidates()
+
+
+def test_det_coefficient_matches_character_oracle():
+    # sum of m * mu_1 over the Gelfand-Tsetlin weights mu of V_beta: by
+    # the Weyl symmetry of the character it is rank * |beta| / k
+    cases = [(k, n, [b]) for k, n, b in _sweep_candidates()]
+    cases += [(2, 6, [(2, 0), (1, 1)]), (3, 7, [(2, 1, 0), (1, 0, 0), (1, 1, 1)])]
+    for k, n, betas in cases:
+        coeff = screen(GrassContext(k, n), betas).det_coefficient
+        oracle = sum(
+            m * mu[0] for beta in betas for mu, m in _gt_character(tuple(beta)).items()
+        )
+        assert type(coeff) is int and coeff == oracle, (k, n, betas)
 
 
 def test_screen_input_validation():
