@@ -21,7 +21,7 @@ from functools import lru_cache
 from . import expr as ex
 from .dims import sl_dim, straighten
 from .errors import DomainError
-from .schur import Decomposition, _through_store, evaluate
+from .schur import Decomposition, _evaluate_node, _through_store
 from .weights import BlockWeight, GrassContext
 
 
@@ -53,7 +53,7 @@ def _cohomology_cached(e: ex.Expr, ctx: GrassContext):
         "cohomology",
         e,
         ctx,
-        lambda: cohomology_of(evaluate(e, ctx)),
+        lambda: cohomology_of(_evaluate_node(e, ctx)),
         profile_to_json,
         lambda cached: {int(p): int(d) for p, d in cached.items()},
     )

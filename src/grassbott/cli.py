@@ -1,5 +1,14 @@
 """Command-line front end.
 
+Each subcommand is one row of ``_COMMANDS``: its help text, whether it
+takes ``--grass``, its arguments and its handler.  :func:`build_parser`
+builds the subparsers from the rows.  :func:`run` attaches the store,
+builds the Grassmannian context once for a row that takes ``--grass``,
+and calls ``handler(args, ctx)``.  A handler returns the JSON records,
+printed one per line under ``--format json``, and the lines printed
+under ``--format table``; ``check`` and ``crossval`` return their exit
+code third.
+
 Exit codes: 0 on success or a passing check, 1 when a check found
 witnesses or a cross-validation found mismatches, 2 on usage or parse
 errors, 141 when the reader of stdout went away (broken pipe).
@@ -34,46 +43,148 @@ def _parse_int_list(text: str) -> tuple:
         raise StructureError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+def _decomposition(d):
+    lines = [f"{w.canonical()}  x{m}" for w, m in sorted(d.items(), key=lambda t: t[0].canonical())]
+    return [d.to_json()], lines
+
+
+def _rank(args, ctx):
+    rank = schur.evaluate(ex.parse_expr(args.expr, ctx), ctx).rank()
+    return [{"rank": str(rank)}], [f"rank: {rank}"]
+
+
+def _dual(args, ctx):
+    return _decomposition(schur.evaluate(ex.Dual(ex.parse_expr(args.expr, ctx)), ctx))
+
+
+def _decompose(args, ctx):
+    return _decomposition(schur.evaluate(ex.parse_expr(args.expr, ctx), ctx))
+
+
+def _bott(args, ctx):
+    profile = bott.cohomology(ex.parse_expr(args.expr, ctx), ctx)
+    lines = [f"H^{p} = {d}" for p, d in sorted(profile.items())] or ["(zero)"]
+    return [bott.profile_to_json(profile)], lines
+
+
+def _koszul(args, ctx):
+    table = koszul.build_table(ex.parse_expr(args.E, ctx), ex.parse_expr(args.F, ctx), ctx)
+    verdict = koszul.analyze(table, koszul.TargetKind(args.target), args.degree)
+    if not args.dump_table:
+        return [verdict.to_json()], [f"verdict: {verdict.to_json()}"]
+    lines = [f"cell q={q} p={p}: {d}" for q, p, d in table.nonzero_cells()]
+    lines.append(f"verdict: {verdict.kind} {verdict.to_json()}")
+    return [{"table": table.to_json(), "verdict": verdict.to_json()}], lines
+
+
+def _euler(args, ctx):
+    chi = koszul.euler_restriction(ex.parse_expr(args.E, ctx), ex.parse_expr(args.F, ctx), ctx)
+    return [{"euler": str(chi)}], [f"chi: {chi}"]
+
+
+def _hilbert(args, ctx):
+    f = ex.parse_expr(args.F, ctx)
+    try:
+        lo, hi = (int(x) for x in args.range.split(".."))
+    except ValueError:
+        raise StructureError(f"--range expects LO..HI, got {args.range!r}") from None
+    values = koszul.hilbert_series(f, ctx, lo, hi)
+    return (
+        [{"values": [{"r": r, "chi": str(c)} for r, c in values]}],
+        [f"r={r}: chi={c}" for r, c in values],
+    )
+
+
+def _check(args, ctx):
+    if args.theorem == "thm3":
+        exprs = [ex.parse_expr(t, ctx) for t in ex.split_expr_list(args.F)]
+        report = theorems.check_theorem3(ctx, exprs)
+    elif args.theorem == "thm1":
+        report = theorems.check_theorem1(ctx, ex.parse_expr(args.F, ctx))
+    else:
+        report = theorems.check_theorem2(ctx, ex.parse_expr(args.F, ctx))
+    lines = [
+        f"theorem {report.theorem} on Gr({ctx.k},{ctx.n}), F = {report.f_text}",
+        f"verdict: {report.verdict}",
+        f"ambient projective dimension: {report.ambient_dim}",
+    ]
+    if report.projectively_normal is not None:
+        lines.append(f"projectively normal: {report.projectively_normal}")
+    if report.connected_h0 is not None:
+        lines.append(f"h0(O_X): {report.connected_h0}")
+    for w in report.witnesses:
+        where = f"p={w.p}" + (f", r={w.r}" if w.r is not None else "")
+        lines.append(f"witness [{w.group}] {where}: dim {w.dim}")
+    lines += [f"note: {note}" for note in report.notes]
+    return [report.to_json()], lines, 1 if report.witnesses else 0
+
+
+def _screen(args, ctx):
+    weights: list[BlockWeight] = []
+    for text in ex.split_expr_list(args.F):
+        d = schur.evaluate(ex.parse_expr(text, ctx), ctx)
+        for w, m in sorted(d.items(), key=lambda t: t[0].canonical()):
+            weights.extend([w] * m)
+    data = screens.screen(ctx, weights).to_json()
+    return [data], [f"{key}: {value}" for key, value in sorted(data.items())]
+
+
+def _enumerate(args, ctx):
+    families = screens.enumerate_lemma54(args.k)
+    return (
+        [fam.to_json() for fam in families],
+        [f"{fam.family}: beta={fam.beta} n in [{fam.n_min},{fam.n_max}]" for fam in families],
+    )
+
+
+def _crossval(args, ctx):
+    report = theorems.cross_validate(ctx, _parse_int_list(args.beta))
+    lines = [f"match: {m}" for m in report.matches]
+    lines += [f"MISMATCH: {m}" for m in report.mismatches]
+    lines.append(f"consistent: {report.consistent}")
+    return [report.to_json()], lines, 0 if report.consistent else 1
+
+
 _REQUIRED = dict(required=True)
 _EXPR = (("expr", {}),)
 
-# name, help, takes --grass, arguments as (flag, add_argument keywords);
-# every command also takes --format and --no-cache
-_COMMANDS = (
-    ("rank", "rank of a bundle expression", True, _EXPR),
-    ("dual", "decomposition of the dual bundle", True, _EXPR),
-    ("decompose", "irreducible decomposition", True, _EXPR),
-    ("bott", "cohomology profile", True, _EXPR),
-    ("koszul", "spectral-sequence verdict for the zero locus", True, (
+# name: help, takes --grass, arguments as (flag, add_argument keywords),
+# handler; every command also takes --format and --no-cache
+_COMMANDS = {
+    "rank": ("rank of a bundle expression", True, _EXPR, _rank),
+    "dual": ("decomposition of the dual bundle", True, _EXPR, _dual),
+    "decompose": ("irreducible decomposition", True, _EXPR, _decompose),
+    "bott": ("cohomology profile", True, _EXPR, _bott),
+    "koszul": ("spectral-sequence verdict for the zero locus", True, (
         ("--E", dict(required=True, help="coefficient bundle expression")),
         ("--F", dict(required=True, help="section bundle expression")),
         ("--target", dict(choices=("restriction", "ideal"), required=True)),
         ("--degree", dict(type=int, required=True)),
         ("--dump-table", dict(action="store_true", help="print the full table")),
-    )),
-    ("euler", "Euler characteristic of E restricted to X", True, (
+    ), _koszul),
+    "euler": ("Euler characteristic of E restricted to X", True, (
         ("--E", _REQUIRED), ("--F", _REQUIRED),
-    )),
-    ("hilbert", "chi(O_X(r)) over a twist range", True, (
+    ), _euler),
+    "hilbert": ("chi(O_X(r)) over a twist range", True, (
         ("--F", _REQUIRED),
         ("--range", dict(required=True, metavar="LO..HI")),
-    )),
-    ("check", "run a theorem scan", True, (
+    ), _hilbert),
+    "check": ("run a theorem scan", True, (
         ("theorem", dict(choices=("thm1", "thm2", "thm3"))),
         ("--F", dict(required=True, help="expression (thm3: comma-separated list)")),
-    )),
-    ("screen", "Fano / dimension / exclusion screens", True, (
+    ), _check),
+    "screen": ("Fano / dimension / exclusion screens", True, (
         ("--F", dict(required=True, help="comma-separated summand expressions")),
-    )),
-    ("enumerate", "candidate enumeration", False, (
+    ), _screen),
+    "enumerate": ("candidate enumeration", False, (
         ("--lemma54", dict(action="store_true", required=True)),
         ("--k", dict(type=int, required=True)),
-    )),
-    ("crossval", "cross-validate scans against witnesses", True, (
+    ), _enumerate),
+    "crossval": ("cross-validate scans against witnesses", True, (
         ("--beta", dict(required=True, metavar="B1,B2,...")),
-    )),
-)
-_NAMES = tuple(name for name, *_ in _COMMANDS)
+    ), _crossval),
+}
+_NAMES = tuple(_COMMANDS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -90,7 +201,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # "invalid choice" and "required" errors.
     metavar = None if command is None else "{" + ",".join(_NAMES) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, grass, arguments in _COMMANDS:
+    for name, (help_text, grass, arguments, _) in _COMMANDS.items():
         if command is not None and name != command:
             continue
         p = sub.add_parser(name, help=help_text)
@@ -105,170 +216,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _need_grass(args) -> GrassContext:
-    if not getattr(args, "grass", None):
-        raise StructureError("this command needs --grass k,n")
-    return _parse_grass(args.grass)
-
-
-def _emit(args, data, table_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True))
-    else:
-        for line in table_lines:
-            print(line)
-
-
-def _decomposition_lines(d) -> list:
-    return [f"{w.canonical()}  x{m}" for w, m in sorted(d.items(), key=lambda t: t[0].canonical())]
-
-
-def _profile_lines(profile) -> list:
-    if not profile:
-        return ["(zero)"]
-    return [f"H^{p} = {d}" for p, d in sorted(profile.items())]
-
-
-def _report_lines(report) -> list:
-    lines = [
-        f"theorem {report.theorem} on Gr({report.ctx.k},{report.ctx.n}), F = {report.f_text}",
-        f"verdict: {report.verdict}",
-        f"ambient projective dimension: {report.ambient_dim}",
-    ]
-    if report.projectively_normal is not None:
-        lines.append(f"projectively normal: {report.projectively_normal}")
-    if report.connected_h0 is not None:
-        lines.append(f"h0(O_X): {report.connected_h0}")
-    for w in report.witnesses:
-        where = f"p={w.p}" + (f", r={w.r}" if w.r is not None else "")
-        lines.append(f"witness [{w.group}] {where}: dim {w.dim}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return lines
-
-
 def run(args) -> int:
-    if not args.no_cache:
-        schur.set_store(cache.Store())
-    else:
-        schur.set_store(None)
-
-    if args.command == "rank":
-        ctx = _need_grass(args)
-        d = schur.evaluate(ex.parse_expr(args.expr, ctx), ctx)
-        _emit(args, {"rank": str(d.rank())}, [f"rank: {d.rank()}"])
-        return 0
-
-    if args.command == "dual":
-        ctx = _need_grass(args)
-        d = schur.evaluate(ex.Dual(ex.parse_expr(args.expr, ctx)), ctx)
-        _emit(args, d.to_json(), _decomposition_lines(d))
-        return 0
-
-    if args.command == "decompose":
-        ctx = _need_grass(args)
-        d = schur.evaluate(ex.parse_expr(args.expr, ctx), ctx)
-        _emit(args, d.to_json(), _decomposition_lines(d))
-        return 0
-
-    if args.command == "bott":
-        ctx = _need_grass(args)
-        profile = bott.cohomology(ex.parse_expr(args.expr, ctx), ctx)
-        _emit(args, bott.profile_to_json(profile), _profile_lines(profile))
-        return 0
-
-    if args.command == "koszul":
-        ctx = _need_grass(args)
-        e = ex.parse_expr(args.E, ctx)
-        f = ex.parse_expr(args.F, ctx)
-        table = koszul.build_table(e, f, ctx)
-        kind = (
-            koszul.TargetKind.RESTRICTION
-            if args.target == "restriction"
-            else koszul.TargetKind.IDEAL
-        )
-        verdict = koszul.analyze(table, kind, args.degree)
-        if args.dump_table:
-            data = {"table": table.to_json(), "verdict": verdict.to_json()}
-            lines = [f"cell q={q} p={p}: {d}" for q, p, d in table.nonzero_cells()]
-            lines.append(f"verdict: {verdict.kind} {verdict.to_json()}")
-            _emit(args, data, lines)
-        else:
-            _emit(args, verdict.to_json(), [f"verdict: {verdict.to_json()}"])
-        return 0
-
-    if args.command == "euler":
-        ctx = _need_grass(args)
-        e = ex.parse_expr(args.E, ctx)
-        f = ex.parse_expr(args.F, ctx)
-        chi = koszul.euler_restriction(e, f, ctx)
-        _emit(args, {"euler": str(chi)}, [f"chi: {chi}"])
-        return 0
-
-    if args.command == "hilbert":
-        ctx = _need_grass(args)
-        f = ex.parse_expr(args.F, ctx)
-        try:
-            lo, hi = (int(x) for x in args.range.split(".."))
-        except ValueError:
-            raise StructureError(f"--range expects LO..HI, got {args.range!r}") from None
-        values = koszul.hilbert_series(f, ctx, lo, hi)
-        _emit(
-            args,
-            {"values": [{"r": r, "chi": str(c)} for r, c in values]},
-            [f"r={r}: chi={c}" for r, c in values],
-        )
-        return 0
-
-    if args.command == "check":
-        ctx = _need_grass(args)
-        if args.theorem == "thm3":
-            exprs = [ex.parse_expr(t, ctx) for t in ex.split_expr_list(args.F)]
-            report = theorems.check_theorem3(ctx, exprs)
-        else:
-            f = ex.parse_expr(args.F, ctx)
-            if args.theorem == "thm1":
-                report = theorems.check_theorem1(ctx, f)
-            else:
-                report = theorems.check_theorem2(ctx, f)
-        _emit(args, report.to_json(), _report_lines(report))
-        return 1 if report.witnesses else 0
-
-    if args.command == "screen":
-        ctx = _need_grass(args)
-        weights: list[BlockWeight] = []
-        for text in ex.split_expr_list(args.F):
-            d = schur.evaluate(ex.parse_expr(text, ctx), ctx)
-            for w, m in sorted(d.items(), key=lambda t: t[0].canonical()):
-                weights.extend([w] * m)
-        report = screens.screen(ctx, weights)
-        data = report.to_json()
-        _emit(args, data, [f"{key}: {value}" for key, value in sorted(data.items())])
-        return 0
-
-    if args.command == "enumerate":
-        families = screens.enumerate_lemma54(args.k)
-        if args.format == "json":
-            for fam in families:
-                print(json.dumps(fam.to_json(), sort_keys=True))
-        else:
-            for fam in families:
-                print(
-                    f"{fam.family}: beta={fam.beta} n in [{fam.n_min},{fam.n_max}]"
-                )
-        return 0
-
-    if args.command == "crossval":
-        ctx = _need_grass(args)
-        beta = _parse_int_list(args.beta)
-        report = theorems.cross_validate(ctx, beta)
-        lines = [f"match: {m}" for m in report.matches]
-        lines += [f"MISMATCH: {m}" for m in report.mismatches]
-        lines.append(f"consistent: {report.consistent}")
-        _emit(args, report.to_json(), lines)
-        return 0 if report.consistent else 1
-
-    raise StructureError(f"unknown command {args.command!r}")
+    schur.set_store(None if args.no_cache else cache.Store())
+    _, grass, _, handler = _COMMANDS[args.command]
+    ctx = None
+    if grass:
+        if not args.grass:
+            raise StructureError("this command needs --grass k,n")
+        ctx = _parse_grass(args.grass)
+    records, lines, *code = handler(args, ctx)
+    if args.format == "json":
+        lines = [json.dumps(record, sort_keys=True) for record in records]
+    for line in lines:
+        print(line)
+    return code[0] if code else 0
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):
@@ -279,15 +240,20 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _NAMES else None
-    args = build_parser(command).parse_args(argv)
     with warnings.catch_warnings():
         # library warnings reach the user as one line, without the
         # Python source location
         warnings.showwarning = _print_warning
         try:
-            code = run(args)
-            sys.stdout.flush()  # a reader that went away shows here, not at exit
-            return code
+            try:
+                return run(build_parser(command).parse_args(argv))
+            finally:
+                # a reader that went away shows here, not at exit; this
+                # also flushes the text of --help, before argparse's
+                # SystemExit leaves main.  stdout is None when the
+                # process started with it closed.
+                if sys.stdout is not None:
+                    sys.stdout.flush()
         except BrokenPipeError:
             # Stop as quietly as a process killed by SIGPIPE, with its exit
             # status; stdout goes to devnull so the flush at exit cannot

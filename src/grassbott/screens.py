@@ -222,6 +222,11 @@ _SYSTEMS = {
 }
 
 
+def wedge_index(ctx: GrassContext, system: str, s: int) -> int:
+    """The p of the wedge power wedge^p F that ``system`` probes at s."""
+    return s * (ctx.n - ctx.k) - _SYSTEMS[system][0]
+
+
 def _search(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
     """Every weight that meets the chain of ``system`` without the
     Fano-range line, in the order s, then r, then the sorted weight.
@@ -233,7 +238,7 @@ def _search(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
     scans' nonvanishing conditions, which makes the search complete
     against the full scans.
     """
-    offset, bound_of, fano_from, dual, twisted, chain = _SYSTEMS[system]
+    _, bound_of, fano_from, dual, twisted, chain = _SYSTEMS[system]
     if not isinstance(beta, BlockWeight):
         beta = BlockWeight.from_first(ctx, tuple(beta))
     if any(beta.second):
@@ -246,7 +251,7 @@ def _search(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
     f = ex.Irr(beta)
     out = []
     for s in range(1, k + 1):
-        p = s * (n - k) - offset
+        p = wedge_index(ctx, system, s)
         if p < 0 or p > rank:
             continue
         e = ex.Tensor(ex.Dual(f), ex.Wedge(p, f)) if dual else ex.Wedge(p, f)

@@ -44,6 +44,7 @@ from .screens import (
     find_witnesses_41,
     find_witnesses_5,
     screen,
+    wedge_index,
 )
 from .weights import BlockWeight, GrassContext, is_globally_generated, twist
 
@@ -376,7 +377,6 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     f = ex.Irr(beta)
     report = CrossReport(ctx, beta.first)
     k, n = ctx.k, ctx.n
-    step = n - k
 
     thm1_failures = scan_normality(ctx, f)
     def_failures = scan_deformation(ctx, f)
@@ -402,7 +402,7 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
         # the scan group a witness predicts: the wedge index p it probes
         # and, for system 4.1, the twist r (None for the other systems,
         # as for the 5.1 scan groups)
-        return w.s * step - {"b": 1, "b'": 2}.get(w.system, 0), w.r
+        return wedge_index(ctx, w.system, w.s), w.r
 
     # per pairing: scan failures and found witnesses, then the texts for
     # a match, an unmatched failure, the witness that misses only the

@@ -54,11 +54,11 @@ def test_entry_file_name_is_pinned(tmp_path):
     # crc32 then adler32 of b"1\x00evaluate\x002,5|sym(2,Q)"; a change of
     # name orphans every entry users have on disk
     path = Store(tmp_path)._path("evaluate", "2,5|sym(2,Q)")
-    assert path == tmp_path / "f3d46ad255ef06f1.json"
+    assert path == os.path.join(str(tmp_path), "f3d46ad255ef06f1.json")
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); from grassbott.cache import Store; "
-        f"print(Store({str(tmp_path)!r})._path('evaluate', '2,5|sym(2,Q)').name)"
+        f"print(Store({str(tmp_path)!r})._path('evaluate', '2,5|sym(2,Q)'))"
     )
     for seed in ("1", "2"):
         proc = subprocess.run(
@@ -67,11 +67,11 @@ def test_entry_file_name_is_pinned(tmp_path):
             text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, path.name + "\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, path + "\n", "")
 
 
 def test_colliding_names_are_misses(tmp_path, monkeypatch):
-    monkeypatch.setattr(Store, "_path", lambda self, operation, key: self.root / "one.json")
+    monkeypatch.setattr(Store, "_path", lambda self, operation, key: os.path.join(self.root, "one.json"))
     store = Store(tmp_path)
     store.put("evaluate", "a", 1)
     assert store.get("evaluate", "b") is None
@@ -119,7 +119,7 @@ def test_unusable_directory_disables_cache(tmp_path):
 
 def test_env_var_controls_default_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GBK_CACHE_DIR", str(tmp_path / "envdir"))
-    assert default_cache_dir() == tmp_path / "envdir"
+    assert default_cache_dir() == str(tmp_path / "envdir")
 
 
 def test_cache_transparent_for_results(tmp_path):

@@ -160,7 +160,8 @@ def test_import_leaves_out_openssl_and_decimal(module):
     # -S keeps site hooks (.pth files) from importing anything first
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import {module}; "
-        "print(sorted({'hashlib', '_hashlib', 'fractions', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'hashlib', '_hashlib', 'fractions', 'decimal', 'tempfile', 'pathlib'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -173,10 +174,15 @@ def test_import_leaves_out_openssl_and_decimal(module):
 
 def test_broken_pipe_exits_141_without_traceback(tmp_path):
     # the reader is gone before the command writes; thm1's report is
-    # written while it runs, rank's only by the final flush
+    # written while it runs, rank's only by the final flush, and a help
+    # text by the flush before argparse's exit.  _env leaves out
+    # PYTHONUNBUFFERED: with it set, argparse's own write of the help
+    # fails, is swallowed, and the process exits 0.
     for args in (
         ["check", "thm1", "--F", "sym(3,Q)", "--grass", "2,5", "--no-cache"],
         ["rank", "Q", "--grass", "2,5", "--no-cache"],
+        ["--help"],
+        ["check", "--help"],
     ):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -331,3 +337,170 @@ def test_report_json_roundtrips(tmp_path):
     assert json.loads(json.dumps(data)) == data
     assert data["theorem"] == "1"
     assert data["instance"]["F"] == "sym(3,Q)"
+
+
+# --format table stdout and exit code of the README commands and of
+# koszul --dump-table, byte for byte
+TABLE_GOLDENS = (
+    ("bott twist(dual(wedge(3,sym(3,Q))),2) --grass 2,5", 0, "H^3 = 1\n"),
+    ("rank sym(3,Q) --grass 2,5", 0, "rank: 4\n"),
+    ("dual irr[3,0] --grass 2,5", 0, "2,5:[0,-3|0,0,0]  x1\n"),
+    (
+        "decompose tensor(Theta,wedge(2,dual(sym(2,Q)))) --grass 2,5",
+        0,
+        (
+            "2,5:[-1,-2|0,0,-1]  x1\n"
+            "2,5:[0,-3|0,0,-1]  x1\n"
+        ),
+    ),
+    (
+        "koszul --E O(2) --F sym(3,Q) --target ideal --degree 1 --grass 2,5",
+        0,
+        "verdict: {'kind': 'exact', 'dim': '1'}\n",
+    ),
+    ("euler --E O(0) --F O(4) --grass 1,4", 0, "chi: 2\n"),
+    (
+        "hilbert --F O(4) --range 0..3 --grass 1,4",
+        0,
+        (
+            "r=0: chi=2\n"
+            "r=1: chi=4\n"
+            "r=2: chi=10\n"
+            "r=3: chi=20\n"
+        ),
+    ),
+    ("euler --E O(0) --F sym(3,Q) --grass 2,4", 0, "chi: 27\n"),
+    ("euler --E O(0) --F sym(5,Q) --grass 2,5", 0, "chi: 2875\n"),
+    ("euler --E O(0) --F Theta --grass 2,4", 0, "chi: 6\n"),
+    (
+        "check thm1 --F sym(3,Q) --grass 2,5",
+        1,
+        (
+            "theorem 1 on Gr(2,5), F = sym(3,Q)\n"
+            "verdict: not-applicable\n"
+            "ambient projective dimension: 9\n"
+            "projectively normal: False\n"
+            "h0(O_X): 1\n"
+            "witness [thm1] p=3, r=2: dim 1\n"
+            "note: H^1 of the twisted ideal sheaf at r=2 is 1\n"
+        ),
+    ),
+    (
+        "check thm2 --F sym(4,Q) --grass 1,4",
+        1,
+        (
+            "theorem 2 on Gr(1,4), F = sym(4,Q)\n"
+            "verdict: not-applicable\n"
+            "ambient projective dimension: 3\n"
+            "witness [5.1b] p=1: dim 1\n"
+        ),
+    ),
+    (
+        "check thm3 --F sym(2,Q),O(1) --grass 2,6",
+        0,
+        (
+            "theorem 3 on Gr(2,6), F = sum(sym(2,Q),O(1))\n"
+            "verdict: pass\n"
+            "ambient projective dimension: 14\n"
+        ),
+    ),
+    (
+        "screen --F irr[3,0] --grass 2,5",
+        0,
+        (
+            "det_coefficient: 6\n"
+            "dim_X: 2\n"
+            "excluded: None\n"
+            "grass: 2,5\n"
+            "is_fano: False\n"
+            "positive_dimension: True\n"
+            "rank: 4\n"
+            "summands: [[3, 0]]\n"
+        ),
+    ),
+    (
+        "enumerate --lemma54 --k 5",
+        0,
+        (
+            "ro1: beta=(1, 1, 1, 1, 1) n in [6,10]\n"
+            "ro1: beta=(2, 2, 2, 2, 2) n in [6,10]\n"
+            "ro1: beta=(3, 3, 3, 3, 3) n in [6,10]\n"
+            "ro1: beta=(4, 4, 4, 4, 4) n in [6,10]\n"
+            "ro1: beta=(5, 5, 5, 5, 5) n in [6,10]\n"
+            "ro1: beta=(6, 6, 6, 6, 6) n in [7,10]\n"
+            "ro1: beta=(7, 7, 7, 7, 7) n in [8,10]\n"
+            "ro1: beta=(8, 8, 8, 8, 8) n in [9,10]\n"
+            "ro1: beta=(9, 9, 9, 9, 9) n in [10,10]\n"
+            "ro2: beta=(2, 1, 1, 1, 1) n in [7,10]\n"
+            "ro3: beta=(2, 2, 2, 2, 1) n in [10,10]\n"
+            "ro4: beta=(1, 1, 1, 1, 0) n in [6,10]\n"
+            "ro5: beta=(1, 1, 1, 0, 0) n in [7,10]\n"
+        ),
+    ),
+    (
+        "crossval --beta 3,0 --grass 2,5",
+        1,
+        (
+            "match: 5.1b failure (wedge p=1) <-> system b/b'\n"
+            "MISMATCH: scan failure thm1 (p=3, r=2, dim=1) has no system-4.1 witness as displayed; "
+            "weight (6, 3) satisfies the chain except the Fano-range line b_1 <= n-1 = 4\n"
+            "MISMATCH: scan failure 5.1a (p=3, dim=75) has no system-a witness as displayed; "
+            "weight (5, 1) satisfies the chain except the Fano-range line\n"
+            "MISMATCH: scan failure 5.1b (wedge p=2, dim=45) has no system-b/b' witness as displayed; "
+            "weight (5, 1) satisfies system b except the Fano-range line\n"
+            "consistent: False\n"
+        ),
+    ),
+    (
+        "koszul --E O(2) --F sym(3,Q) --target ideal --degree 1 --grass 2,5 --dump-table",
+        0,
+        (
+            "cell q=0 p=0: 50\n"
+            "cell q=3 p=3: 1\n"
+            "verdict: exact {'kind': 'exact', 'dim': '1'}\n"
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, code, stdout", TABLE_GOLDENS, ids=[g[0] for g in TABLE_GOLDENS])
+def test_table_format_golden(argv, code, stdout, tmp_path):
+    proc = run_cli([*argv.split(), "--format", "table"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+
+
+def test_missing_grass_is_one_error_line(tmp_path):
+    for args in (
+        ["rank", "Q"],
+        ["dual", "Q"],
+        ["decompose", "Q"],
+        ["bott", "Q"],
+        ["koszul", "--E", "O(0)", "--F", "Q", "--target", "ideal", "--degree", "0"],
+        ["euler", "--E", "O(0)", "--F", "Q"],
+        ["hilbert", "--F", "Q", "--range", "0..1"],
+        ["check", "thm1", "--F", "Q"],
+        ["screen", "--F", "Q"],
+        ["crossval", "--beta", "1,1"],
+    ):
+        proc = run_cli(args, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: this command needs --grass k,n\n"
+        ), args
+
+
+def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
+    # a Koszul column is stored as a cohomology profile only; the
+    # decompositions of its children stay in the store for other commands
+    args = ["euler", "--E", "O(0)", "--F", "sym(3,Q)", "--grass", "2,4"]
+    cold = run_cli(args, tmp_path, check=True)
+    entries = {
+        (entry["operation"], entry["key"])
+        for entry in (json.loads(p.read_text()) for p in (tmp_path / "cache").glob("*.json"))
+    }
+    for q in range(5):
+        key = f"2,4|tensor(O(0),wedge({q},dual(sym(3,Q))))"
+        assert ("cohomology", key) in entries
+        assert ("evaluate", key) not in entries
+        assert ("evaluate", f"2,4|wedge({q},dual(sym(3,Q)))") in entries
+    warm = run_cli(args, tmp_path, check=True)
+    assert warm.stdout == cold.stdout == '{"euler": "27"}\n'
