@@ -5,10 +5,10 @@ straightening of its concatenated length-n weight
 (:func:`grassbott.dims.straighten`): a repeated rho-shifted entry kills
 all cohomology, and otherwise exactly one group survives, in the degree
 given by the length of the straightening, with dimension the Weyl
-dimension of the dominant weight it returns.  The theorem scans call
-the straightening directly on plain entry tuples and ask for the Weyl
-dimension only for the groups they keep; :func:`bott_irreducible` is the
-same step on a validated weight and stays the reference.
+dimension of the dominant weight it returns.  Only the normality scan's
+twist walk calls the straightening directly, on plain entry tuples, and
+asks for the Weyl dimension only for the groups it keeps;
+:func:`bott_irreducible` is the same step on a validated weight.
 
 A cohomology profile is a plain dict {degree: dimension} with absent
 keys meaning zero.

@@ -80,7 +80,6 @@ def _weyl_product(lam: tuple) -> int:
 
 def block_rank(w: BlockWeight) -> int:
     """Rank of the homogeneous vector bundle with highest weight ``w``:
-    the product of the per-block Weyl dimensions."""
-    if not w.is_dominant():
-        raise DomainError(f"weight {w} is not dominant per block")
+    the product of the per-block Weyl dimensions; :func:`sl_dim` rejects
+    a block that is not dominant."""
     return sl_dim(w.first) * sl_dim(w.second)

@@ -22,7 +22,11 @@ is below p, and only the summands that meet H^p are turned into
 twisted weights.
 
 The second scan checks H^p(Gr, F (x) wedge^p F*) = 0 for p >= 1 and
-H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.
+H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.  These groups are the
+q = p cells of the Koszul columns of E = F and E = Theta, so each is read
+through :func:`grassbott.bott.cohomology` as a column profile, on the
+nodes and store keys that ``koszul``/``euler`` use; only a nonzero group
+is decomposed, for the summands that carry it.
 
 A scan returns its witnesses, the nonzero groups, in (p, r) order; a
 group that vanishes leaves no record.
@@ -33,9 +37,10 @@ from __future__ import annotations
 import warnings
 
 from . import expr as ex
+from .bott import bott_irreducible, cohomology
 from .dims import sl_dim, straighten
 from .errors import StructureError
-from .koszul import TargetKind, analyze, build_table
+from .koszul import TargetKind, _column_expr, analyze, build_table
 from .parallel import parallel_map
 from .record import Record
 from .schur import evaluate
@@ -150,42 +155,29 @@ def _summand_weights(ctx: GrassContext, f: ex.Expr) -> list[BlockWeight]:
     return out
 
 
-def _b_max(weights) -> int:
-    return max(w.first[0] for w in weights)
-
-
 def _group_witness(ctx: GrassContext, group: str, p: int, e: ex.Expr, degree: int):
     """The witness for a nonzero H^degree(e) with its contributing
-    summands, or None when the group vanishes."""
-    dim = 0
-    contributing = []
-    for w, m in evaluate(e, ctx).items():
-        found = straighten(w.first + w.second)
-        if found is not None and found[0] == degree:
-            dim += m * sl_dim(found[1])
-            contributing.append(w)
+    summands, or None when the group vanishes; only a nonzero group is
+    decomposed."""
+    dim = cohomology(e, ctx).get(degree)
     if not dim:
         return None
+    contributing = [w for w, _ in evaluate(e, ctx).items() if degree in bott_irreducible(w)]
     return ScanWitness(
         group, p, None, dim, tuple(sorted(contributing, key=BlockWeight.canonical))
     )
 
 
-def _wedge_dual(f: ex.Expr, p: int) -> ex.Expr:
-    return ex.Wedge(p, ex.Dual(f))
-
-
 def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
     """Witnesses of H^p((wedge^p F*)(r)) != 0 over p in [1, rank F],
     r in [0, p*b_max], in (p, r) order."""
-    weights = _summand_weights(ctx, f)
+    b_max = max(w.first[0] for w in _summand_weights(ctx, f))
     rank_f = evaluate(f, ctx).rank()
-    b_max = _b_max(weights)
 
     def scan_p(p: int) -> list:
         # r -> [dim, contributing summands], for the twists with H^p != 0
         hits = {}
-        for w, m in evaluate(_wedge_dual(f, p), ctx).items():
+        for w, m in evaluate(ex.Wedge(p, ex.Dual(f)), ctx).items():
             for r in range(0, p * b_max + 1):
                 found = straighten(tuple(x + r for x in w.first) + w.second)
                 if found is None:
@@ -217,10 +209,9 @@ def scan_deformation(ctx: GrassContext, f: ex.Expr) -> list:
     rank_f = evaluate(f, ctx).rank()
 
     def scan_p(p: int) -> list:
-        dual = _wedge_dual(f, p)
         found = (
-            _group_witness(ctx, "5.1a", p, ex.Tensor(f, dual), p) if p >= 1 else None,
-            _group_witness(ctx, "5.1b", p, ex.Tensor(ex.THETA, dual), p + 1),
+            _group_witness(ctx, "5.1a", p, _column_expr(f, f, p), p) if p >= 1 else None,
+            _group_witness(ctx, "5.1b", p, _column_expr(ex.THETA, f, p), p + 1),
         )
         return [w for w in found if w is not None]
 

@@ -488,15 +488,19 @@ def test_missing_grass_is_one_error_line(tmp_path):
         ), args
 
 
+def _store_entries(cache_dir):
+    return {
+        (entry["operation"], entry["key"])
+        for entry in (json.loads(p.read_text()) for p in cache_dir.glob("*.json"))
+    }
+
+
 def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
     # a Koszul column is stored as a cohomology profile only; the
     # decompositions of its children stay in the store for other commands
     args = ["euler", "--E", "O(0)", "--F", "sym(3,Q)", "--grass", "2,4"]
     cold = run_cli(args, tmp_path, check=True)
-    entries = {
-        (entry["operation"], entry["key"])
-        for entry in (json.loads(p.read_text()) for p in (tmp_path / "cache").glob("*.json"))
-    }
+    entries = _store_entries(tmp_path / "cache")
     for q in range(5):
         key = f"2,4|tensor(O(0),wedge({q},dual(sym(3,Q))))"
         assert ("cohomology", key) in entries
@@ -504,3 +508,37 @@ def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
         assert ("evaluate", f"2,4|wedge({q},dual(sym(3,Q)))") in entries
     warm = run_cli(args, tmp_path, check=True)
     assert warm.stdout == cold.stdout == '{"euler": "27"}\n'
+
+    # the deformation groups are the q = p cells of the columns of E = F
+    # and E = Theta, stored the same way; a vanishing group is never
+    # decomposed
+    cache = tmp_path / "thm2-pass"
+    args = ["check", "thm2", "--F", "sym(2,Q)", "--grass", "2,5"]
+    cold = run_cli(args, tmp_path, check=True, cache_dir=cache)
+    assert json.loads(cold.stdout)["witnesses"] == []
+    entries = _store_entries(cache)
+    for e, ps in (("sym(2,Q)", range(1, 4)), ("Theta", range(4))):
+        for p in ps:
+            key = f"2,5|tensor({e},wedge({p},dual(sym(2,Q))))"
+            assert ("cohomology", key) in entries, key
+            assert ("evaluate", key) not in entries, key
+    assert run_cli(args, tmp_path, check=True, cache_dir=cache).stdout == cold.stdout
+
+    # a nonzero group is decomposed for its witness weights, and only it
+    cache = tmp_path / "thm2-fail"
+    args = ["check", "thm2", "--F", "sym(4,Q)", "--grass", "1,4"]
+    runs = [run_cli(args, tmp_path, cache_dir=cache) for _ in range(2)]
+    runs.append(run_cli([*args, "--no-cache"], tmp_path, cache_dir=cache))
+    witnesses = json.loads(runs[0].stdout)["witnesses"]
+    assert [(w["group"], w["p"]) for w in witnesses] == [("5.1b", 1)]
+    assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {(1, runs[0].stdout, "")}
+    tensors = {
+        key for op, key in _store_entries(cache) if op == "evaluate" and "|tensor(" in key
+    }
+    assert tensors == {"1,4|tensor(Theta,wedge(1,dual(sym(4,Q))))"}
+
+
+def test_check_thm2_is_warning_free_at_rank_equal_to_dimension(tmp_path):
+    # rank F = dim Gr(2,4): a Koszul table of F would warn on stderr
+    proc = run_cli(["check", "thm2", "--F", "sym(3,Q)", "--grass", "2,4"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "")

@@ -96,6 +96,13 @@ def test_theorem2_rank_one_passes():
     assert check_theorem2(CTX25, irr_expr(CTX25, (1, 1))).verdict == "pass"
 
 
+def test_theorem2_warning_free_at_rank_equal_to_dimension():
+    # rank F = dim Gr(2,4) = 4: a Koszul table of F would warn, the scan must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_theorem2(GrassContext(2, 4), ex.Sym(3, ex.Q))
+
+
 def test_verdict_iff_witnesses_on_applicable_instances():
     for ctx, f in [
         (CTX25, irr_expr(CTX25, (1, 1))),
@@ -172,11 +179,12 @@ def test_truncation_margin():
                 assert set(profile) <= {0}, (ctx, first, p, r)
 
 
-def _tensor_route(ctx, f, p, r):
-    """H^p((wedge^p F*)(r)) through a twist node and the reference Bott."""
+def _tensor_route(ctx, e, degree):
+    """H^degree(e) and the summands that carry it, through the whole
+    decomposition of e and the reference Bott."""
     dim, weights = 0, []
-    for w, m in evaluate(ex.Tensor(ex.Line(r), ex.Wedge(p, ex.Dual(f))), ctx).items():
-        d = bott_irreducible(w).get(p, 0)
+    for w, m in evaluate(e, ctx).items():
+        d = bott_irreducible(w).get(degree, 0)
         if d:
             dim += m * d
             weights.append(w)
@@ -206,24 +214,54 @@ def test_twist_walk_matches_tensor_route(ctx, text):
         # a group without a witness vanishes on the tensor route
         wit = by_twist.get((p, r))
         found = (wit.dim, wit.weights) if wit else (0, ())
-        assert found == _tensor_route(ctx, f, p, r), (p, r)
+        twisted = ex.Tensor(ex.Line(r), ex.Wedge(p, ex.Dual(f)))
+        assert found == _tensor_route(ctx, twisted, p), (p, r)
 
 
-# sha256 over the JSON witness lists of both scans on every k-block
-# weight of Gr(2,5) and Gr(2,6) with 1 <= |beta| < nk and rank <= 20,
-# recorded when each scan also returned a record of every group it visited
-SCAN_GOLDEN = "e5807376759cbff2954546393629e24c0b0f2e15c5e0034bf60a969b24d767a1"
+@pytest.mark.parametrize(
+    "ctx,text",
+    [
+        (GrassContext(3, 6), "irr[2,1,0]"),
+        (CTX25, "sum(sym(3,Q),O(1))"),
+        (GrassContext(2, 4), "sym(3,Q)"),
+    ],
+)
+def test_deformation_scan_matches_tensor_route(ctx, text):
+    f = ex.parse_expr(text, ctx)
+    rank = evaluate(f, ctx).rank()
+    witnesses = scan_deformation(ctx, f)
+    assert witnesses
+    by_group = {(w.group, w.p): w for w in witnesses}
+    assert len(by_group) == len(witnesses)
+    groups = []
+    for p in range(rank + 1):
+        dual = ex.Wedge(p, ex.Dual(f))
+        if p >= 1:
+            groups.append(("5.1a", p, ex.Tensor(f, dual), p))
+        groups.append(("5.1b", p, ex.Tensor(ex.THETA, dual), p + 1))
+    # witnesses come in p order, 5.1a before 5.1b, and only from the scan range
+    assert [(w.group, w.p) for w in witnesses] == [
+        (g, p) for g, p, _, _ in groups if (g, p) in by_group
+    ]
+    for group, p, e, degree in groups:
+        # a group without a witness vanishes on the tensor route
+        wit = by_group.get((group, p))
+        found = (wit.dim, wit.weights) if wit else (0, ())
+        assert found == _tensor_route(ctx, e, degree), (group, p)
 
 
-def test_scan_witness_golden():
+def _scan_digest(grasses, max_rank):
+    """Weight count, witness counts per group and the sha256 over the JSON
+    witness lists of both scans, on every k-block weight of each Gr(k,n)
+    with 1 <= |beta| <= 2n-1 and rank <= max_rank."""
     digest = hashlib.sha256()
     weights = 0
     groups = {}
-    for n in (5, 6):
-        ctx = GrassContext(2, n)
+    for k, n in grasses:
+        ctx = GrassContext(k, n)
         for size in range(1, 2 * n):
-            for beta in _partitions_at_most(size, 2, size):
-                if sl_dim(beta) > 20:
+            for beta in _partitions_at_most(size, k, size):
+                if sl_dim(beta) > max_rank:
                     continue
                 weights += 1
                 f = ex.Irr(BlockWeight.from_first(ctx, beta))
@@ -232,9 +270,26 @@ def test_scan_witness_golden():
                     for w in witnesses:
                         groups[w.group] = groups.get(w.group, 0) + 1
                     digest.update(json.dumps([w.to_json() for w in witnesses]).encode())
-    assert weights == 70
-    assert groups == {"thm1": 790, "5.1a": 38, "5.1b": 37}
-    assert digest.hexdigest() == SCAN_GOLDEN
+    return weights, groups, digest.hexdigest()
+
+
+# recorded when each scan also returned a record of every group it visited
+SCAN_GOLDEN = "e5807376759cbff2954546393629e24c0b0f2e15c5e0034bf60a969b24d767a1"
+# recorded when the deformation groups were decomposed in full and
+# straightened summand by summand
+SCAN_GOLDEN_K3 = "5518036eb586237787f9a82185808e06ee9160bd56da8f136aa0bd8ec39fcffc"
+
+
+def test_scan_witness_golden():
+    assert _scan_digest([(2, 5), (2, 6)], 20) == (
+        70, {"thm1": 790, "5.1a": 38, "5.1b": 37}, SCAN_GOLDEN
+    )
+
+
+def test_scan_witness_golden_k3():
+    assert _scan_digest([(3, 6), (3, 7), (4, 7)], 15) == (
+        103, {"thm1": 1028, "5.1a": 53, "5.1b": 69}, SCAN_GOLDEN_K3
+    )
 
 
 def _random_dominant(rng, length, lo, hi):
