@@ -11,16 +11,19 @@ The induced spectral sequences compute, for any bundle E,
 No degeneration is assumed: an exact dimension is claimed only when
 every nonzero contributing cell has all of its differential partners
 (cells at (q+r, p+r-1) and (q-r, p-r+1) for every page r >= 1) equal to
-zero; otherwise only the safe bounds are reported.
+zero; otherwise only the safe bounds are reported.  :func:`build_table`
+is memoized and is the only reader of the columns: the verdicts, the
+Euler characteristics and the deformation scan share its tables.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
+from functools import lru_cache
 
 from . import expr as ex
-from .bott import cohomology, euler_characteristic
+from .bott import cohomology
 from .errors import StructureError
 from .parallel import parallel_map
 from .record import Record
@@ -114,20 +117,15 @@ def _column_expr(e: ex.Expr, f: ex.Expr, q: int) -> ex.Expr:
     return ex.Tensor(e, ex.Wedge(q, ex.Dual(f)))
 
 
+@lru_cache(maxsize=None)
 def build_table(e: ex.Expr, f: ex.Expr, ctx: GrassContext) -> KoszulTable:
-    """Compute every Koszul column for the section bundle ``f`` twisted
-    against ``e``; F must be globally generated."""
+    """Every Koszul column for the section bundle ``f`` twisted against
+    ``e``; F must be globally generated.  Memoized: the table is shared."""
     fd = evaluate(f, ctx)
     for w, _ in fd.items():
         if not is_globally_generated(w):
             raise StructureError(f"summand {w} of F is not globally generated")
     rank_f = fd.rank()
-    if rank_f >= ctx.dimension:
-        warnings.warn(
-            f"rank(F) = {rank_f} >= dim Gr = {ctx.dimension}: "
-            "the zero locus is empty or zero-dimensional",
-            stacklevel=2,
-        )
     qs = list(range(rank_f + 1))
     profiles = parallel_map(lambda q: cohomology(_column_expr(e, f, q), ctx), qs)
     return KoszulTable(ctx, e, f, rank_f, dict(zip(qs, profiles)))
@@ -149,6 +147,12 @@ def _contributions(table: KoszulTable, kind: TargetKind, degree: int):
 
 def analyze(table: KoszulTable, kind: TargetKind, degree: int) -> Verdict:
     """Verdict about H^degree of the target selected by ``kind``."""
+    if table.rank_f >= table.ctx.dimension:
+        warnings.warn(
+            f"rank(F) = {table.rank_f} >= dim Gr = {table.ctx.dimension}: "
+            "the zero locus is empty or zero-dimensional",
+            stacklevel=2,
+        )
     cells = [(q, p, table.cell(q, p)) for q, p in _contributions(table, kind, degree)]
     total = sum(d for _, _, d in cells)
     if total == 0:
@@ -163,13 +167,9 @@ def analyze(table: KoszulTable, kind: TargetKind, degree: int) -> Verdict:
 
 
 def euler_restriction(e: ex.Expr, f: ex.Expr, ctx: GrassContext) -> int:
-    """chi(X, E|_X) as the alternating sum of column Euler characteristics."""
-    fd = evaluate(f, ctx)
-    total = 0
-    for q in range(fd.rank() + 1):
-        chi = euler_characteristic(cohomology(_column_expr(e, f, q), ctx))
-        total += chi if q % 2 == 0 else -chi
-    return total
+    """chi(X, E|_X) as the alternating sum of the Koszul table's cells."""
+    cells = build_table(e, f, ctx).nonzero_cells()
+    return sum(d if (p + q) % 2 == 0 else -d for q, p, d in cells)
 
 
 def hilbert_series(

@@ -1,7 +1,7 @@
 """Serial fan-out over independent items, in input order.
 
-The scans and :func:`grassbott.koszul.build_table` map their per-degree
-work through :func:`parallel_map` rather than a list comprehension
+The normality scan and :func:`grassbott.koszul.build_table` map their
+per-degree work through :func:`parallel_map` rather than a comprehension
 because perfbench's tracer wraps this function as its ``parallel.map``
 layer, and ``BENCHMARK.json`` names five metrics of that layer.  Threads
 did not speed up the pure-Python scans (the interpreter lock serialises

@@ -23,10 +23,13 @@ twisted weights.
 
 The second scan checks H^p(Gr, F (x) wedge^p F*) = 0 for p >= 1 and
 H^{p+1}(Gr, Theta (x) wedge^p F*) = 0 for p >= 0.  These groups are the
-q = p cells of the Koszul columns of E = F and E = Theta, so each is read
-through :func:`grassbott.bott.cohomology` as a column profile, on the
-nodes and store keys that ``koszul``/``euler`` use; only a nonzero group
-is decomposed, for the summands that carry it.
+q = p cells of the Koszul tables of E = F and E = Theta, so the scan
+reads them from :func:`grassbott.koszul.build_table`, the memoized
+tables that ``koszul``/``euler`` use; only a nonzero group's column is
+decomposed, for the summands that carry it.
+
+A check refuses rank F > dim Gr before any scan, with a DomainError:
+the zero locus of a general section is then empty.
 
 A scan returns its witnesses, the nonzero groups, in (p, r) order; a
 group that vanishes leaves no record.
@@ -37,10 +40,10 @@ from __future__ import annotations
 import warnings
 
 from . import expr as ex
-from .bott import bott_irreducible, cohomology
+from .bott import bott_irreducible
 from .dims import sl_dim, straighten
-from .errors import StructureError
-from .koszul import TargetKind, _column_expr, analyze, build_table
+from .errors import DomainError, StructureError
+from .koszul import KoszulTable, TargetKind, _column_expr, analyze, build_table
 from .parallel import parallel_map
 from .record import Record
 from .schur import evaluate
@@ -155,14 +158,15 @@ def _summand_weights(ctx: GrassContext, f: ex.Expr) -> list[BlockWeight]:
     return out
 
 
-def _group_witness(ctx: GrassContext, group: str, p: int, e: ex.Expr, degree: int):
-    """The witness for a nonzero H^degree(e) with its contributing
-    summands, or None when the group vanishes; only a nonzero group is
-    decomposed."""
-    dim = cohomology(e, ctx).get(degree)
+def _group_witness(table: KoszulTable, group: str, p: int, degree: int):
+    """The witness for a nonzero cell (p, degree) of ``table`` with the
+    summands of column p that carry it, or None when the cell is zero;
+    only a nonzero cell's column is decomposed."""
+    dim = table.cell(p, degree)
     if not dim:
         return None
-    contributing = [w for w, _ in evaluate(e, ctx).items() if degree in bott_irreducible(w)]
+    column = evaluate(_column_expr(table.e, table.f, p), table.ctx)
+    contributing = [w for w, _ in column.items() if degree in bott_irreducible(w)]
     return ScanWitness(
         group, p, None, dim, tuple(sorted(contributing, key=BlockWeight.canonical))
     )
@@ -206,16 +210,13 @@ def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
 def scan_deformation(ctx: GrassContext, f: ex.Expr) -> list:
     """Witnesses of the two vanishing families behind the deformation
     theorem, in p order with 5.1a before 5.1b."""
-    rank_f = evaluate(f, ctx).rank()
-
-    def scan_p(p: int) -> list:
-        found = (
-            _group_witness(ctx, "5.1a", p, _column_expr(f, f, p), p) if p >= 1 else None,
-            _group_witness(ctx, "5.1b", p, _column_expr(ex.THETA, f, p), p + 1),
-        )
-        return [w for w in found if w is not None]
-
-    return [w for ws in parallel_map(scan_p, range(0, rank_f + 1)) for w in ws]
+    own, theta = build_table(f, f, ctx), build_table(ex.THETA, f, ctx)
+    found = []
+    for p in range(own.rank_f + 1):
+        if p >= 1:
+            found.append(_group_witness(own, "5.1a", p, p))
+        found.append(_group_witness(theta, "5.1b", p, p + 1))
+    return [w for w in found if w is not None]
 
 
 def _sort_witnesses(witnesses) -> list:
@@ -270,6 +271,11 @@ def _report(ctx: GrassContext, theorem: str, f: ex.Expr, scans) -> TheoremReport
     """Screen F, run the scans on it and collect their sorted witnesses
     into a report with its verdict."""
     screen_rep = screen(ctx, _summand_weights(ctx, f))
+    if screen_rep.rank_f > ctx.dimension:
+        raise DomainError(
+            f"rank F = {screen_rep.rank_f} > dim Gr({ctx}) = {ctx.dimension}: "
+            "the zero locus of a general section is empty"
+        )
     witnesses = _sort_witnesses([w for scan in scans for w in scan(ctx, f)])
     return TheoremReport(
         ctx=ctx,

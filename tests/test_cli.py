@@ -539,6 +539,65 @@ def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
 
 
 def test_check_thm2_is_warning_free_at_rank_equal_to_dimension(tmp_path):
-    # rank F = dim Gr(2,4): a Koszul table of F would warn on stderr
+    # rank F = dim Gr(2,4): the scan reads Koszul tables of F but draws no
+    # verdict from them, so nothing may reach stderr
     proc = run_cli(["check", "thm2", "--F", "sym(3,Q)", "--grass", "2,4"], tmp_path)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_euler_and_hilbert_refuse_a_non_generated_section_bundle(tmp_path):
+    # O(-1) has no nonzero section: as with koszul, there is no zero locus
+    error = "error: summand 1,4:[-1|0,0,0] of F is not globally generated\n"
+    for args in (
+        ["koszul", "--E", "O(0)", "--F", "O(-1)", "--target", "ideal", "--degree", "0"],
+        ["euler", "--E", "O(0)", "--F", "O(-1)"],
+        ["hilbert", "--F", "O(-1)", "--range", "0..2"],
+    ):
+        proc = run_cli([*args, "--grass", "1,4"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error), args
+
+
+def test_rank_warning_only_where_a_verdict_is_drawn(tmp_path):
+    # rank sym(3,Q) = dim Gr(2,4) = 4: the koszul verdict warns once; the
+    # Euler characteristic reads the same table and claims nothing about
+    # the dimension of X (check thm2 is covered above)
+    warning = (
+        "warning: rank(F) = 4 >= dim Gr = 4: the zero locus is empty or "
+        "zero-dimensional\n"
+    )
+    cases = (
+        (["koszul", "--E", "O(0)", "--F", "sym(3,Q)", "--target", "restriction",
+          "--degree", "0"], 0, warning),
+        (["euler", "--E", "O(0)", "--F", "sym(3,Q)"], 0, ""),
+    )
+    for args, code, stderr in cases:
+        proc = run_cli([*args, "--grass", "2,4"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (code, stderr), args
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3"])
+def test_check_refuses_rank_above_dimension_before_any_scan(theorem, tmp_path):
+    # rank irr[4,2,1,0] = 140 > dim Gr(4,8) = 16; the scans on this F ran
+    # for minutes and past 680 MB, so the child gets 1 GB and 30 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassbott", "check", theorem,
+         "--F", "irr[4,2,1,0]", "--grass", "4,8"],
+        capture_output=True,
+        text=True,
+        env=_env(tmp_path / "cache"),
+        preexec_fn=_limit_address_space,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: rank F = 140 > dim Gr(4,8) = 16: the zero locus of a general "
+        "section is empty\n",
+    )

@@ -97,7 +97,8 @@ def test_theorem2_rank_one_passes():
 
 
 def test_theorem2_warning_free_at_rank_equal_to_dimension():
-    # rank F = dim Gr(2,4) = 4: a Koszul table of F would warn, the scan must not
+    # rank F = dim Gr(2,4) = 4: a Koszul verdict on F would warn; the scan
+    # reads the tables of F without a verdict and must not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check_theorem2(GrassContext(2, 4), ex.Sym(3, ex.Q))
