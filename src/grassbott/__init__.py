@@ -1,5 +1,7 @@
 """Exact cohomology of homogeneous vector bundles on Grassmannians."""
 
+from . import bott, dims, koszul, schur, theorems
+
 from .weights import (
     BlockWeight,
     GrassContext,
@@ -58,6 +60,27 @@ from .theorems import (
     cross_validate,
 )
 
+
+def clear_caches() -> None:
+    """Empty every in-process memo of the package: the characters,
+    Littlewood-Richardson products, decompositions, cohomology profiles,
+    Koszul tables, normality scans and Weyl kernels.  A batch loop over
+    many instances calls it between them to keep its memory flat; the
+    disk store is left alone."""
+    for memo in (
+        schur._gt_character,
+        schur._lr_pair,
+        schur._evaluate,
+        bott._cohomology_cached,
+        koszul.build_table,
+        theorems._scan_normality,
+        dims._weyl_product,
+        dims.straighten,
+        dims.sl_dim,
+    ):
+        memo.cache_clear()
+
+
 __all__ = [
     "BlockWeight",
     "ConditionWitness",
@@ -88,6 +111,7 @@ __all__ = [
     "check_theorem1",
     "check_theorem2",
     "check_theorem3",
+    "clear_caches",
     "cohomology",
     "cross_validate",
     "dual_weight",

@@ -28,16 +28,22 @@ reads them from :func:`grassbott.koszul.build_table`, the memoized
 tables that ``koszul``/``euler`` use; only a nonzero group's column is
 decomposed, for the summands that carry it.
 
-A check refuses rank F > dim Gr before any scan, with a DomainError:
-the zero locus of a general section is then empty.
+A check refuses, with a DomainError and before any scan, an F whose
+zero locus is empty for a plain reason: rank F > dim Gr, or a trivial
+summand O, whose general section has a nonzero constant component.
 
 A scan returns its witnesses, the nonzero groups, in (p, r) order; a
-group that vanishes leaves no record.
+group that vanishes leaves no record.  The normality scan is memoized
+per (Gr, F), as :func:`grassbott.koszul.build_table` is for the
+deformation scan, so ``check_theorem1`` and ``cross_validate`` walk it
+once between them; :func:`scan_normality` hands out a new list each
+time, and the witnesses themselves are frozen records.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 from . import expr as ex
 from .bott import bott_irreducible
@@ -56,9 +62,12 @@ from .screens import (
 )
 from .weights import BlockWeight, GrassContext, is_globally_generated, twist
 
+_set = object.__setattr__
 
-class ScanWitness(Record):
-    """A nonvanishing group found by a scan."""
+
+class ScanWitness(Record, frozen=True):
+    """A nonvanishing group found by a scan; frozen, because the
+    memoized normality scan shares its witnesses between callers."""
 
     __slots__ = ("group", "p", "r", "dim", "weights")
 
@@ -70,11 +79,11 @@ class ScanWitness(Record):
         dim: int,
         weights: tuple = (),
     ):
-        self.group = group
-        self.p = p
-        self.r = r
-        self.dim = dim
-        self.weights = weights
+        _set(self, "group", group)
+        _set(self, "p", p)
+        _set(self, "r", r)
+        _set(self, "dim", dim)
+        _set(self, "weights", weights)
 
     def to_json(self) -> dict:
         data = {"group": self.group, "p": self.p, "dim": str(self.dim)}
@@ -174,7 +183,12 @@ def _group_witness(table: KoszulTable, group: str, p: int, degree: int):
 
 def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
     """Witnesses of H^p((wedge^p F*)(r)) != 0 over p in [1, rank F],
-    r in [0, p*b_max], in (p, r) order."""
+    r in [0, p*b_max], in (p, r) order, as a new list on each call."""
+    return list(_scan_normality(ctx, f))
+
+
+@lru_cache(maxsize=None)
+def _scan_normality(ctx: GrassContext, f: ex.Expr) -> tuple:
     b_max = max(w.first[0] for w in _summand_weights(ctx, f))
     rank_f = evaluate(f, ctx).rank()
 
@@ -204,7 +218,7 @@ def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
             for r, (dim, contrib) in sorted(hits.items())
         ]
 
-    return [w for ws in parallel_map(scan_p, range(1, rank_f + 1)) for w in ws]
+    return tuple(w for ws in parallel_map(scan_p, range(1, rank_f + 1)) for w in ws)
 
 
 def scan_deformation(ctx: GrassContext, f: ex.Expr) -> list:
@@ -275,6 +289,10 @@ def _report(ctx: GrassContext, theorem: str, f: ex.Expr, scans) -> TheoremReport
         raise DomainError(
             f"rank F = {screen_rep.rank_f} > dim Gr({ctx}) = {ctx.dimension}: "
             "the zero locus of a general section is empty"
+        )
+    if any(not any(w.first) for w in screen_rep.summands):
+        raise DomainError(
+            "F has a trivial summand O: the zero locus of a general section is empty"
         )
     witnesses = _sort_witnesses([w for scan in scans for w in scan(ctx, f)])
     return TheoremReport(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from grassbott import clear_caches
 from grassbott import expr as ex
 from grassbott.bott import (
     bott_irreducible,
@@ -11,9 +12,11 @@ from grassbott.bott import (
     euler_characteristic,
     profile_to_json,
 )
+from grassbott.cache import Store
 from grassbott.dims import sl_dim, straighten
 from grassbott.errors import DomainError
-from grassbott.schur import evaluate
+from grassbott.koszul import _column_expr
+from grassbott.schur import evaluate, set_store
 from grassbott.weights import BlockWeight, GrassContext
 
 CTX = GrassContext(2, 5)
@@ -143,9 +146,38 @@ def test_serre_duality_profiles():
         checked += 1
 
 
-def test_cohomology_of_matches_expression_route():
-    e = ex.Wedge(2, ex.THETA)
-    assert cohomology_of(evaluate(e, CTX)) == cohomology(e, CTX)
+def _koszul_columns(rng):
+    """Seeded Koszul columns E (x) wedge^q F* on three Grassmannians, with
+    E a line bundle O(r), F, Theta or Q and F irreducible or a sum."""
+    sections = {
+        (2, 5): ["sym(2,Q)", "irr[2,1]", "sum(Q,O(1))", "sum(sym(2,Q),O(2))"],
+        (3, 6): ["Q", "irr[1,1,0]", "sum(Q,O(1))", "sum(wedge(2,Q),O(1))"],
+        (2, 4): ["sym(3,Q)", "irr[2,1]", "sum(Q,O(2))", "sum(Q,Q)"],
+    }
+    for (k, n), texts in sections.items():
+        ctx = GrassContext(k, n)
+        for text in texts:
+            f = ex.parse_expr(text, ctx)
+            rank = evaluate(f, ctx).rank()
+            for e in [ex.Line(r) for r in range(-2, 4)] + [f, ex.THETA, ex.Q]:
+                yield ctx, _column_expr(e, f, rng.randint(0, rank))
+
+
+def test_cohomology_of_matches_expression_route(tmp_path):
+    # a Tensor node's profile is read off the LR pairs of its children;
+    # it must equal Bott summed over the product's decomposition, when
+    # computed without a store, when computed with one and when read
+    # back from it
+    cases = [(CTX, ex.Wedge(2, ex.THETA))] + list(_koszul_columns(random.Random(2205)))
+    try:
+        for store in (None, Store(tmp_path), Store(tmp_path)):
+            clear_caches()
+            set_store(store)
+            for ctx, e in cases:
+                assert cohomology(e, ctx) == cohomology_of(evaluate(e, ctx)), (ctx, e)
+    finally:
+        set_store(None)
+        clear_caches()
 
 
 def test_euler_and_json():

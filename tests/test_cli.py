@@ -601,3 +601,19 @@ def test_check_refuses_rank_above_dimension_before_any_scan(theorem, tmp_path):
         "error: rank F = 140 > dim Gr(4,8) = 16: the zero locus of a general "
         "section is empty\n",
     )
+
+
+@pytest.mark.parametrize(
+    "theorem,f",
+    [("thm1", "O(0)"), ("thm2", "sum(Q,O(0))"), ("thm3", "Q,O(0)")],
+)
+def test_check_refuses_a_trivial_summand(theorem, f, tmp_path):
+    # a general section of O + F' has a nonzero constant component, so its
+    # zero locus is empty
+    proc = run_cli(["check", theorem, "--F", f, "--grass", "2,5"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "error: F has a trivial summand O: the zero locus of a general section "
+        "is empty\n",
+    )

@@ -1,8 +1,9 @@
+import random
 from math import comb
 
 import pytest
 
-from grassbott.dims import block_rank, sl_dim
+from grassbott.dims import block_rank, sl_dim, straighten
 from grassbott.errors import DomainError
 from grassbott.weights import BlockWeight, GrassContext, dual_weight, twist
 
@@ -24,15 +25,27 @@ def test_sl_dim_shift_invariance():
 
 def test_sl_dim_rejects_non_dominant():
     # a valid call first, so the checks are seen to run on weights the
-    # Weyl product has already been computed for
+    # Weyl product has already been computed for; each bad input twice,
+    # since sl_dim is memoized but an exception is never cached
     assert sl_dim((3, 1, 0)) == 15
     assert sl_dim((2, 0)) == 3
-    with pytest.raises(DomainError):
-        sl_dim((0, 1))
-    with pytest.raises(DomainError):
-        sl_dim((0, 1, 3))
-    with pytest.raises(DomainError):
-        sl_dim((0, 2))
+    for bad in ((0, 1), (0, 1, 3), (0, 2)) * 2:
+        with pytest.raises(DomainError):
+            sl_dim(bad)
+
+
+def test_straighten_memo_matches_the_plain_function():
+    # shifted entries repeat often in these ranges, so both the None and
+    # the (length, dominant) results are exercised, each twice
+    rng = random.Random(2206)
+    weights = [
+        tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 6)))
+        for _ in range(300)
+    ]
+    assert any(straighten.__wrapped__(w) is None for w in weights)
+    assert any(straighten.__wrapped__(w) is not None for w in weights)
+    for w in weights + weights:
+        assert straighten(w) == straighten.__wrapped__(w), w
 
 
 def test_block_rank_examples():

@@ -1,10 +1,14 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
+import sys
 import warnings
 
 import pytest
 
+from grassbott import clear_caches
 from grassbott import expr as ex
 from grassbott.bott import bott_irreducible, cohomology
 from grassbott.dims import sl_dim, straighten
@@ -405,3 +409,51 @@ def test_frozen_screen_records_refuse_assignment_and_deletion():
                 setattr(value, name, None)
             with pytest.raises(AttributeError):
                 delattr(value, name)
+
+
+def test_scan_normality_hands_out_a_new_list_each_call():
+    f = irr_expr(CTX25, (3, 0))
+    first = scan_normality(CTX25, f)
+    assert first and first is not scan_normality(CTX25, f)
+    expected = list(first)
+    first.append(None)
+    first.reverse()
+    assert scan_normality(CTX25, f) == expected
+
+
+def test_scan_witness_is_frozen_and_round_trips():
+    (witness, *_) = scan_normality(CTX25, irr_expr(CTX25, (3, 0)))
+    for name in witness.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(witness, name, None)
+    for copied in (copy.copy(witness), copy.deepcopy(witness)):
+        assert copied == witness and hash(copied) == hash(witness)
+    again = pickle.loads(pickle.dumps(witness))
+    assert again == witness and again.to_json() == witness.to_json()
+
+
+def _package_memos():
+    memos = {}
+    for name, module in list(sys.modules.items()):
+        if name == "grassbott" or name.startswith("grassbott."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    memos[id(value)] = value
+    return list(memos.values())
+
+
+def test_clear_caches_empties_every_package_memo():
+    ctx, f = GrassContext(3, 6), irr_expr(GrassContext(3, 6), (2, 1, 0))
+
+    def run():
+        reports = check_theorem1(ctx, f), check_theorem2(ctx, f), cross_validate(ctx, (2, 1, 0))
+        return [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+
+    before = run()
+    memos = _package_memos()
+    assert len(memos) >= 9 and all(m.cache_info().currsize for m in memos)
+    clear_caches()
+    assert {m.__qualname__: m.cache_info().currsize for m in memos} == {
+        m.__qualname__: 0 for m in memos
+    }
+    assert run() == before
