@@ -74,7 +74,6 @@ def clear_caches() -> None:
         bott._cohomology_cached,
         koszul.build_table,
         theorems._scan_normality,
-        dims._weyl_product,
         dims.straighten,
         dims.sl_dim,
     ):

@@ -44,8 +44,8 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def _decomposition(d):
-    lines = [f"{w.canonical()}  x{m}" for w, m in sorted(d.items(), key=lambda t: t[0].canonical())]
-    return [d.to_json()], lines
+    data = d.to_json()
+    return [data], [f"{w}  x{m}" for w, m in data["weights"].items()]
 
 
 def _rank(args, ctx):
@@ -97,8 +97,7 @@ def _hilbert(args, ctx):
 
 def _check(args, ctx):
     if args.theorem == "thm3":
-        exprs = [ex.parse_expr(t, ctx) for t in ex.split_expr_list(args.F)]
-        report = theorems.check_theorem3(ctx, exprs)
+        report = theorems.check_theorem3(ctx, ex.parse_expr_list(args.F, ctx))
     elif args.theorem == "thm1":
         report = theorems.check_theorem1(ctx, ex.parse_expr(args.F, ctx))
     else:
@@ -121,8 +120,8 @@ def _check(args, ctx):
 
 def _screen(args, ctx):
     weights: list[BlockWeight] = []
-    for text in ex.split_expr_list(args.F):
-        d = schur.evaluate(ex.parse_expr(text, ctx), ctx)
+    for e in ex.parse_expr_list(args.F, ctx):
+        d = schur.evaluate(e, ctx)
         for w, m in sorted(d.items(), key=lambda t: t[0].canonical()):
             weights.extend([w] * m)
     data = screens.screen(ctx, weights).to_json()

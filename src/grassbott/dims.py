@@ -7,13 +7,11 @@ accumulated as a numerator/denominator pair with a gcd reduction per
 step, and the final division is checked exact.
 
 Bott's theorem and the Racah-Speiser step ask for the same few
-straightenings and dimensions again and again, so three bounded memos
-sit here: :func:`straighten` (8192 entries, keyed on its input tuple),
-:func:`sl_dim` (4096, keyed on its input tuple) and the Weyl product
-behind it (4096, keyed on the weight shifted so that its last entry is
-0).  The criterion-4 sweep fills 3,442, 769 and 271 of them.  An
-invalid input raises and is never cached, so the checks of
-:func:`sl_dim` run again on every call that fails them.
+straightenings and dimensions again and again, so two bounded memos
+sit here, each keyed on its input tuple: :func:`straighten` (8192
+entries) and :func:`sl_dim` (4096).  An invalid input raises and is
+never cached, so the checks of :func:`sl_dim` run again on every call
+that fails them.
 
 :func:`straighten` adds rho = (n, n-1, ..., 1) to a weight of GL(n),
 gives up on a repeated entry, and otherwise sorts the shifted vector,
@@ -43,9 +41,19 @@ def sl_dim(entries: tuple) -> int:
     lam = tuple(int(x) for x in entries)
     if not nonincreasing(lam):
         raise DomainError(f"weight {lam} is not nonincreasing")
-    if not lam:
-        return 1
-    return _weyl_product(tuple(x - lam[-1] for x in lam))
+    n = len(lam)
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+            g = gcd(num, den)
+            num //= g
+            den //= g
+    if den != 1:
+        raise AssertionError("Weyl product did not reduce to an integer")
+    return num
 
 
 @lru_cache(maxsize=8192)
@@ -67,23 +75,6 @@ def straighten(entries: tuple) -> tuple[int, tuple] | None:
                 length += 1
     shifted.sort(reverse=True)
     return length, tuple(x - n + i for i, x in enumerate(shifted))
-
-
-@lru_cache(maxsize=4096)
-def _weyl_product(lam: tuple) -> int:
-    n = len(lam)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-            g = gcd(num, den)
-            num //= g
-            den //= g
-    if den != 1:
-        raise AssertionError("Weyl product did not reduce to an integer")
-    return num
 
 
 def block_rank(w: BlockWeight) -> int:

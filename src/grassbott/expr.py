@@ -15,7 +15,9 @@ Grammar (all prefix, ASCII, whitespace tolerated)::
 ``irr`` lists the k-block entries; the second block is zero unless a
 ``|`` separator appears.  One operator table drives both ``parse_expr``
 and ``to_text``, and ``parse_expr`` followed by ``to_text`` is the
-identity on canonical forms.
+identity on canonical forms.  ``parse_expr_list`` reads a list
+``expr ("," expr)*`` with the same parser, so its error offsets count
+from the start of the whole list.
 
 Nodes are immutable, hashable slotted values with class-sensitive
 equality: ``Wedge(2, Q) != Sym(2, Q)``, and ``hash`` is the hash of the
@@ -271,12 +273,11 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def finish(self, result):
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return e
+        return result
 
     def int_arg(self) -> int:
         return self.take("int")[1]
@@ -332,21 +333,16 @@ class _Parser:
 
 def parse_expr(text: str, ctx: GrassContext) -> Expr:
     """Parse the prefix grammar; errors carry the byte offset."""
-    return _Parser(text, ctx).parse()
+    parser = _Parser(text, ctx)
+    return parser.finish(parser.expr())
 
 
-def split_expr_list(text: str) -> list[str]:
-    """Split a comma-separated list of expressions at depth-0 commas."""
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
+def parse_expr_list(text: str, ctx: GrassContext) -> list[Expr]:
+    """Parse ``expr ("," expr)*`` as one text: error offsets count from
+    its start, and an empty item is a :class:`ParseError`."""
+    parser = _Parser(text, ctx)
+    exprs = [parser.expr()]
+    while parser.peek()[:2] == ("punct", ","):
+        parser.i += 1
+        exprs.append(parser.expr())
+    return parser.finish(exprs)

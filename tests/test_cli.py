@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,34 @@ def test_parse_error_exit_code(tmp_path):
     assert proc.returncode == 2
 
 
+def test_expression_list_is_parsed_as_one_text(tmp_path):
+    # offsets count from the start of the whole --F text, and an empty
+    # item is a parse error
+    for args, error in (
+        (
+            ["check", "thm3", "--F", "Q, wedge(2,Q", "--grass", "2,6"],
+            "error: expected ')', found end of input (at byte 12)\n",
+        ),
+        (
+            ["screen", "--F", "", "--grass", "2,5"],
+            "error: expected an expression, found end of input (at byte 0)\n",
+        ),
+        (
+            ["screen", "--F", "Q,,O(1)", "--grass", "2,5"],
+            "error: expected an expression, found ',' (at byte 2)\n",
+        ),
+    ):
+        proc = run_cli(args, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error), args
+
+
+def test_non_dominant_irr_is_one_error_line(tmp_path):
+    proc = run_cli(["crossval", "--beta", "0,1", "--grass", "2,5"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: non-dominant summand 2,5:[0,1|0,0,0]\n"
+    )
+
+
 def test_usage_error_exit_code(tmp_path):
     for args in (["nonsense"], ["bott", "Q", "--grass", "2,5", "--jobs", "2"]):
         proc = run_cli(args, tmp_path)
@@ -467,6 +496,33 @@ TABLE_GOLDENS = (
 def test_table_format_golden(argv, code, stdout, tmp_path):
     proc = run_cli([*argv.split(), "--format", "table"], tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+
+
+def _readme_cli_examples():
+    """The ``grassbott`` lines of the sh block under ``## CLI`` in
+    README.md, as (argv, parsed ``# -> ...`` comment or None); the
+    comment sits on the command's line or on the line after it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("grassbott "):
+            examples.append((shlex.split(line, comments=True)[1:], None))
+        if "# -> " in line:
+            argv, _ = examples[-1]
+            examples[-1] = (argv, json.loads(line.partition("# -> ")[2]))
+    return examples
+
+
+def test_readme_cli_examples_are_table_goldens(tmp_path):
+    goldens = {tuple(g[0].split()) for g in TABLE_GOLDENS}
+    examples = _readme_cli_examples()
+    assert examples and any(output is not None for _, output in examples)
+    for argv, output in examples:
+        assert tuple(argv) in goldens, argv
+        if output is not None:
+            proc = run_cli([*argv, "--format", "json"], tmp_path)
+            assert json.loads(proc.stdout) == output, argv
 
 
 def test_missing_grass_is_one_error_line(tmp_path):

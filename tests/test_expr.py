@@ -5,7 +5,7 @@ import pytest
 
 from grassbott import expr as ex
 from grassbott.errors import ParseError
-from grassbott.expr import parse_expr, split_expr_list, to_text
+from grassbott.expr import parse_expr, parse_expr_list, to_text
 from grassbott.weights import BlockWeight, GrassContext
 
 CTX = GrassContext(2, 5)
@@ -73,10 +73,25 @@ def test_parse_errors_carry_positions():
         parse_expr("wedge(Q,2)", CTX)  # arity/type mixup
 
 
-def test_split_expr_list():
-    assert split_expr_list("sym(2,Q),O(1)") == ["sym(2,Q)", "O(1)"]
-    assert split_expr_list("irr[1,1],tensor(Q,S)") == ["irr[1,1]", "tensor(Q,S)"]
-    assert split_expr_list(" Q ") == ["Q"]
+def test_parse_expr_list():
+    for text, items in (
+        ("sym(2,Q),O(1)", ["sym(2,Q)", "O(1)"]),
+        ("irr[1,1],tensor(Q,S)", ["irr[1,1]", "tensor(Q,S)"]),
+        (" Q ", ["Q"]),
+    ):
+        assert parse_expr_list(text, CTX) == [parse_expr(t, CTX) for t in items]
+
+
+@pytest.mark.parametrize("text, position", [
+    ("Q,,O(1)", 2),
+    ("Q,", 2),
+    ("", 0),
+    ("Q, wedge(2,Q", 12),  # the offset counts from the start of the list
+])
+def test_parse_expr_list_errors_carry_list_positions(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_expr_list(text, CTX)
+    assert info.value.position == position
 
 
 def _one_of_each_node():

@@ -66,6 +66,15 @@ def test_analyze_warns_when_locus_is_points():
     ]
 
 
+def test_analyze_bounds_when_a_differential_is_live():
+    # on Gr(4,6) with F = wedge^2 Q the cell (q=0, p=0) meets the cell
+    # (q=3, p=2) through d_3, so h^0(O_X) is only bounded
+    ctx = GrassContext(4, 6)
+    table = build_table(ex.Line(0), ex.Wedge(2, ex.Q), ctx)
+    assert list(table.nonzero_cells()) == [(0, 0, 1), (3, 2, 1)]
+    assert analyze(table, TargetKind.RESTRICTION, 0) == Verdict.bounds(0, 1)
+
+
 def test_build_table_rejects_non_generated():
     ctx = GrassContext(2, 5)
     with pytest.raises(StructureError):

@@ -86,6 +86,33 @@ def test_theorem1_fail_only_at_r0_is_still_normal():
     assert report.connected_h0 == "2"
 
 
+def test_theorem1_h0_undetermined_notes_the_bounds():
+    report = check_theorem1(GrassContext(4, 6), ex.Wedge(2, ex.Q))
+    assert report.connected_h0 is None
+    assert report.notes == ["h0(O_X) undetermined: bounds [0,1] with live differentials"]
+
+
+def test_theorem1_exploratory_scan_with_undecided_normality():
+    f = ex.DirectSum(ex.Sym(2, ex.Q), ex.Sym(3, ex.Q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_theorem1(GrassContext(2, 6), f)
+    assert report.verdict == "not-applicable"
+    assert report.projectively_normal is None
+    assert report.notes == [
+        "F has more than one non-line-bundle summand; scan is exploratory",
+        "normality at r=1 undecided: bounds [0,21]",
+        "normality at r=2 undecided: bounds [0,42]",
+        "normality at r=3 undecided: bounds [0,27]",
+    ]
+
+
+def test_theorem1_refuses_rank_zero():
+    # wedge^3 of the rank-2 quotient bundle vanishes
+    with pytest.raises(StructureError, match="^F has rank zero$"):
+        check_theorem1(CTX25, ex.Wedge(3, ex.Q))
+
+
 def test_theorem2_quartic_k3_fails():
     report = check_theorem2(CTX14, ex.Sym(4, ex.Q))
     assert any(w.group == "5.1b" for w in report.witnesses)
@@ -451,7 +478,7 @@ def test_clear_caches_empties_every_package_memo():
 
     before = run()
     memos = _package_memos()
-    assert len(memos) >= 9 and all(m.cache_info().currsize for m in memos)
+    assert len(memos) >= 8 and all(m.cache_info().currsize for m in memos)
     clear_caches()
     assert {m.__qualname__: m.cache_info().currsize for m in memos} == {
         m.__qualname__: 0 for m in memos
