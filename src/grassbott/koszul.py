@@ -28,7 +28,7 @@ from .errors import StructureError
 from .parallel import parallel_map
 from .record import Record
 from .schur import evaluate
-from .weights import GrassContext, is_globally_generated
+from .weights import GrassContext, require_globally_generated
 
 
 class TargetKind(enum.Enum):
@@ -123,8 +123,7 @@ def build_table(e: ex.Expr, f: ex.Expr, ctx: GrassContext) -> KoszulTable:
     ``e``; F must be globally generated.  Memoized: the table is shared."""
     fd = evaluate(f, ctx)
     for w, _ in fd.items():
-        if not is_globally_generated(w):
-            raise StructureError(f"summand {w} of F is not globally generated")
+        require_globally_generated(w)
     rank_f = fd.rank()
     qs = list(range(rank_f + 1))
     profiles = parallel_map(lambda q: cohomology(_column_expr(e, f, q), ctx), qs)

@@ -188,7 +188,7 @@ def _lr_core(lam: tuple, mu: tuple):
 
 def _pair_mul(a: dict, b: dict) -> dict:
     """Pairs of the tensor product of two decomposition tables, by
-    Littlewood-Richardson on each block."""
+    Littlewood-Richardson on each block (positive terms: none cancel)."""
     out: dict = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
@@ -197,11 +197,7 @@ def _pair_mul(a: dict, b: dict) -> dict:
                 cf = c * fc
                 for sw, sc in _lr_pair(w1.second, w2.second).items():
                     key = (fw, sw)
-                    nv = out.get(key, 0) + cf * sc
-                    if nv:
-                        out[key] = nv
-                    else:
-                        out.pop(key, None)
+                    out[key] = out.get(key, 0) + cf * sc
     return out
 
 

@@ -20,7 +20,7 @@ from .dims import block_rank, sl_dim
 from .errors import DomainError, StructureError
 from .record import Record
 from .schur import evaluate
-from .weights import BlockWeight, GrassContext, is_globally_generated
+from .weights import BlockWeight, GrassContext, require_globally_generated
 
 _set = object.__setattr__
 
@@ -89,7 +89,9 @@ def _excluded_tag(ctx: GrassContext, first: tuple) -> str | None:
 
 def screen(ctx: GrassContext, summands) -> ScreenReport:
     """Run the Fano, dimension, and exclusion screens on a direct sum of
-    irreducible bundles (weights with zero second block)."""
+    irreducible bundles.  This is the one validation of the summands of
+    F: each shares the context and has a zero second block
+    (StructureError) and is globally generated (DomainError)."""
     weights = []
     for w in summands:
         if not isinstance(w, BlockWeight):
@@ -98,10 +100,10 @@ def screen(ctx: GrassContext, summands) -> ScreenReport:
             raise StructureError(f"summand {w} has foreign context")
         if any(w.second):
             raise StructureError(
-                f"screen needs k-block weights (second block zero), got {w}"
+                f"summand {w} has a nonzero second block: "
+                "F must be a sum of k-block weights"
             )
-        if not is_globally_generated(w):
-            raise DomainError(f"summand {w} is not globally generated")
+        require_globally_generated(w)
         weights.append(w)
     weights = tuple(weights)
     # The determinant coefficient is additive over direct summands; each
@@ -243,8 +245,7 @@ def _search(ctx: GrassContext, beta, system: str) -> list[ConditionWitness]:
         beta = BlockWeight.from_first(ctx, tuple(beta))
     if any(beta.second):
         raise StructureError("condition systems expect a k-block weight")
-    if not is_globally_generated(beta):
-        raise DomainError(f"{beta} is not globally generated")
+    require_globally_generated(beta)
     k, n = ctx.k, ctx.n
     rank = block_rank(beta)
     size = beta.first_sum()

@@ -28,9 +28,12 @@ reads them from :func:`grassbott.koszul.build_table`, the memoized
 tables that ``koszul``/``euler`` use; only a nonzero group's column is
 decomposed, for the summands that carry it.
 
-A check refuses, with a DomainError and before any scan, an F whose
-zero locus is empty for a plain reason: rank F > dim Gr, or a trivial
-summand O, whose general section has a nonzero constant component.
+Each hypothesis on F is checked once, before any scan.  ``screen``
+validates the summands of F, and ``_report`` makes every refusal of a
+check: F of rank zero, and an F whose zero locus is empty for a plain
+reason (rank F > dim Gr, or a trivial summand O, whose general section
+has a nonzero constant component).  The scans read F; they do not
+validate it.
 
 A scan returns its witnesses, the nonzero groups, in (p, r) order; a
 group that vanishes leaves no record.  The normality scan is memoized
@@ -60,7 +63,7 @@ from .screens import (
     screen,
     wedge_index,
 )
-from .weights import BlockWeight, GrassContext, is_globally_generated, twist
+from .weights import BlockWeight, GrassContext, require_globally_generated, twist
 
 _set = object.__setattr__
 
@@ -150,23 +153,6 @@ class TheoremReport(Record):
         return data
 
 
-def _summand_weights(ctx: GrassContext, f: ex.Expr) -> list[BlockWeight]:
-    fd = evaluate(f, ctx)
-    out = []
-    for w, m in fd.items():
-        if any(w.second):
-            raise StructureError(
-                f"theorem checks expect k-block weights, summand {w} has a "
-                "nonzero second block"
-            )
-        if not is_globally_generated(w):
-            raise StructureError(f"summand {w} is not globally generated")
-        out.extend([w] * m)
-    if not out:
-        raise StructureError("F has rank zero")
-    return out
-
-
 def _group_witness(table: KoszulTable, group: str, p: int, degree: int):
     """The witness for a nonzero cell (p, degree) of ``table`` with the
     summands of column p that carry it, or None when the cell is zero;
@@ -189,8 +175,9 @@ def scan_normality(ctx: GrassContext, f: ex.Expr) -> list:
 
 @lru_cache(maxsize=None)
 def _scan_normality(ctx: GrassContext, f: ex.Expr) -> tuple:
-    b_max = max(w.first[0] for w in _summand_weights(ctx, f))
-    rank_f = evaluate(f, ctx).rank()
+    fd = evaluate(f, ctx)
+    b_max = max((w.first[0] for w, _ in fd.items()), default=0)
+    rank_f = fd.rank()
 
     def scan_p(p: int) -> list:
         # r -> [dim, contributing summands], for the twists with H^p != 0
@@ -282,9 +269,11 @@ def _connected_h0(ctx, f) -> tuple[str | None, list]:
 
 
 def _report(ctx: GrassContext, theorem: str, f: ex.Expr, scans) -> TheoremReport:
-    """Screen F, run the scans on it and collect their sorted witnesses
-    into a report with its verdict."""
-    screen_rep = screen(ctx, _summand_weights(ctx, f))
+    """Screen F, make every refusal, run the scans on it and collect
+    their sorted witnesses into a report with its verdict."""
+    screen_rep = screen(ctx, [w for w, m in evaluate(f, ctx).items() for _ in range(m)])
+    if not screen_rep.rank_f:
+        raise StructureError("F has rank zero")
     if screen_rep.rank_f > ctx.dimension:
         raise DomainError(
             f"rank F = {screen_rep.rank_f} > dim Gr({ctx}) = {ctx.dimension}: "
@@ -390,6 +379,8 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     if not isinstance(beta, BlockWeight):
         beta = BlockWeight.from_first(ctx, tuple(beta))
     f = ex.Irr(beta)
+    evaluate(f, ctx)  # refuses a non-dominant beta
+    require_globally_generated(beta)
     report = CrossReport(ctx, beta.first)
     k, n = ctx.k, ctx.n
 

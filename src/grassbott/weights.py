@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from math import comb
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .record import Record
 
 _set = object.__setattr__
@@ -137,6 +137,13 @@ def is_globally_generated(w: BlockWeight) -> bool:
     in this case.
     """
     return nonincreasing(w.first + w.second)
+
+
+def require_globally_generated(w: BlockWeight) -> None:
+    """Refuse ``w`` as a summand of the section bundle F unless it is
+    globally generated; the one check of that hypothesis."""
+    if not is_globally_generated(w):
+        raise DomainError(f"summand {w} of F is not globally generated")
 
 
 def dual_weight(w: BlockWeight) -> BlockWeight:

@@ -6,6 +6,7 @@ the library-level computation.
 """
 
 import contextlib
+import hashlib
 import json
 import os
 import random
@@ -396,3 +397,23 @@ def test_criterion_8_cross_validation():
         assert not report.consistent
         assert any("k=1" in m for m in report.mismatches)
         assert time.time() - start < 300.0
+
+
+# sha256 over the sorted-key JSON of check_theorem1, check_theorem2 and
+# cross_validate of each sweep instance, in that order
+SWEEP_REPORTS_GOLDEN = "9246b239b683a893366be3bea121a1319c585352a7ad0e618ce69dee92714770"
+
+
+def test_sweep_reports_golden():
+    instances = sweep_instances()
+    assert len(instances) == 227
+    digest = hashlib.sha256()
+    for ctx, beta in instances:
+        f = irr_expr(ctx, beta)
+        for report in (
+            check_theorem1(ctx, f),
+            check_theorem2(ctx, f),
+            cross_validate(ctx, beta),
+        ):
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == SWEEP_REPORTS_GOLDEN

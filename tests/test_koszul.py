@@ -6,7 +6,7 @@ import pytest
 
 from grassbott import expr as ex
 from grassbott.bott import cohomology, euler_characteristic
-from grassbott.errors import StructureError
+from grassbott.errors import DomainError, StructureError
 from grassbott.koszul import (
     KoszulTable,
     TargetKind,
@@ -77,7 +77,7 @@ def test_analyze_bounds_when_a_differential_is_live():
 
 def test_build_table_rejects_non_generated():
     ctx = GrassContext(2, 5)
-    with pytest.raises(StructureError):
+    with pytest.raises(DomainError):
         build_table(ex.Line(0), ex.Line(-1), ctx)
 
 
@@ -85,9 +85,9 @@ def test_euler_and_hilbert_reject_non_generated():
     # O(-1) has no nonzero section, so there is no zero locus to take
     # chi of; the Euler route reads the same checked table as koszul
     ctx = GrassContext(1, 4)
-    with pytest.raises(StructureError, match="not globally generated"):
+    with pytest.raises(DomainError, match="not globally generated"):
         euler_restriction(ex.Line(0), ex.Line(-1), ctx)
-    with pytest.raises(StructureError, match="not globally generated"):
+    with pytest.raises(DomainError, match="not globally generated"):
         hilbert_series(ex.Line(-1), ctx, 0, 2)
 
 

@@ -10,14 +10,17 @@ import pytest
 
 from grassbott import clear_caches
 from grassbott import expr as ex
+from grassbott import theorems
 from grassbott.bott import bott_irreducible, cohomology
 from grassbott.dims import sl_dim, straighten
-from grassbott.errors import StructureError
+from grassbott.errors import DomainError, StructureError
+from grassbott.koszul import build_table
 from grassbott.screens import (
     CandidateFamily,
     ConditionWitness,
     ScreenReport,
     _partitions_at_most,
+    find_witnesses_41,
     screen,
 )
 from grassbott.theorems import (
@@ -186,10 +189,34 @@ def test_theorem3_zero_dimensional_not_applicable():
 def test_theorem_input_validation():
     with pytest.raises(StructureError):
         check_theorem1(CTX25, ex.THETA)  # second block not zero
-    with pytest.raises(StructureError):
+    with pytest.raises(DomainError):
         check_theorem1(CTX25, ex.Dual(ex.Q))  # not globally generated
     with pytest.raises(StructureError):
         check_theorem3(CTX25, [])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: check_theorem1(CTX25, ex.Dual(ex.Q)), id="thm1"),
+        pytest.param(lambda: check_theorem2(CTX25, ex.Dual(ex.Q)), id="thm2"),
+        pytest.param(lambda: check_theorem3(CTX25, [ex.Line(1), ex.Dual(ex.Q)]), id="thm3"),
+        pytest.param(lambda: cross_validate(CTX25, (0, -1)), id="crossval"),
+        pytest.param(lambda: screen(CTX25, [(0, -1)]), id="screen"),
+        pytest.param(lambda: find_witnesses_41(CTX25, (0, -1)), id="witnesses"),
+        pytest.param(lambda: build_table(ex.Line(0), ex.Dual(ex.Q), CTX25), id="koszul"),
+    ],
+)
+def test_non_generated_f_is_refused_before_any_scan(call):
+    # Q* on Gr(2,5) has weight (0,-1|0,0,0): one check, one error, and
+    # neither scan memo sees the bundle
+    clear_caches()
+    with pytest.raises(
+        DomainError, match=r"^summand 2,5:\[0,-1\|0,0,0\] of F is not globally generated$"
+    ):
+        call()
+    assert theorems._scan_normality.cache_info().currsize == 0
+    assert build_table.cache_info().currsize == 0
 
 
 def test_truncation_margin():
