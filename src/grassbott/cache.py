@@ -1,5 +1,10 @@
 """Content-addressed persistence of computed values across CLI runs.
 
+The package stores one operation, ``power``: the plethysm results of
+:func:`grassbott.schur._power_fast`, keyed by the input decomposition
+(see :func:`grassbott.schur.set_store`).  Entries of the earlier
+``evaluate`` and ``cohomology`` operations are never read again.
+
 One JSON file per entry under the cache root; the filename is a 64-bit
 digest (CRC-32 then Adler-32, in hex) of (schema version, operation,
 canonical key).  Each entry holds that full triple and a read checks it,

@@ -282,6 +282,14 @@ class _Parser:
     def int_arg(self) -> int:
         return self.take("int")[1]
 
+    def comma_list(self, item) -> list:
+        """``item ("," item)*``, each item read by calling ``item()``."""
+        items = [item()]
+        while self.peek()[:2] == ("punct", ","):
+            self.i += 1
+            items.append(item())
+        return items
+
     def expr(self) -> Expr:
         tok = self.peek()
         if tok[0] != "name":
@@ -307,17 +315,11 @@ class _Parser:
 
     def irr(self, at: int) -> Expr:
         self.take("punct", "[")
-        first = [self.int_arg()]
-        while self.peek()[:2] == ("punct", ","):
-            self.i += 1
-            first.append(self.int_arg())
+        first = self.comma_list(self.int_arg)
         second = None
         if self.peek()[:2] == ("punct", "|"):
             self.i += 1
-            second = [self.int_arg()]
-            while self.peek()[:2] == ("punct", ","):
-                self.i += 1
-                second.append(self.int_arg())
+            second = self.comma_list(self.int_arg)
         self.take("punct", "]")
         k, n = self.ctx.k, self.ctx.n
         if len(first) != k:
@@ -341,8 +343,4 @@ def parse_expr_list(text: str, ctx: GrassContext) -> list[Expr]:
     """Parse ``expr ("," expr)*`` as one text: error offsets count from
     its start, and an empty item is a :class:`ParseError`."""
     parser = _Parser(text, ctx)
-    exprs = [parser.expr()]
-    while parser.peek()[:2] == ("punct", ","):
-        parser.i += 1
-        exprs.append(parser.expr())
-    return parser.finish(exprs)
+    return parser.finish(parser.comma_list(parser.expr))

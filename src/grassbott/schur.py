@@ -347,6 +347,15 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
         # higher powers of a rank-zero bundle vanish, and so do exterior
         # powers beyond the rank
         return _from_pairs(ctx, {})
+    store = _store
+    if store is not None:
+        key = f"{kind}|{p}|{d.canonical_text()}"
+        cached = store.get("power", key)
+        if cached is not None:
+            try:
+                return Decomposition.from_json(cached)
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                warnings.warn(f"corrupt cache entry power {key} ignored ({err!r})")
     char = _full_char(d)
     if kind == "wedge" and 2 * p > rank:
         # wedge^p = (wedge^(rank-p))* (x) det, which keeps the series
@@ -363,6 +372,8 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
     expected = comb(rank, p) if kind == "wedge" else comb(rank + p - 1, p)
     if out.rank() != expected:
         raise AssertionError(f"rank mismatch: {out.rank()} != {expected}")
+    if store is not None:
+        store.put("power", key, out.to_json())
     return out
 
 
@@ -433,34 +444,14 @@ def set_store(store) -> None:
     """Attach a persistent cache (see :mod:`grassbott.cache`); pass None to
     detach.
 
-    :func:`evaluate` and :func:`grassbott.bott.cohomology` reach the store
-    only through :func:`_through_store`, the one place that knows the key
-    format (``"<ctx>|<expression text>"``) and when the store is read and
-    written.  A detached run computes directly and builds no keys or JSON
-    values."""
+    Only plethysm reaches the store: :func:`_power_fast` reads and writes
+    one ``power`` entry per expanded power, keyed by the kind, p and the
+    :meth:`Decomposition.canonical_text` of its input, so every spelling
+    of a bundle shares it.  Trivial powers (p = 0, rank 0, a wedge above
+    the rank) are never stored, and a detached run builds no keys or JSON
+    values.  Everything else is an in-process memo."""
     global _store
     _store = store
-
-
-def _through_store(operation: str, e: ex.Expr, ctx: GrassContext, compute, dump, load):
-    """``compute()``, read from and written back to the attached store
-    under ``operation`` and the key of ``(e, ctx)``; ``dump`` turns a
-    result into the stored JSON value and ``load`` turns it back.  A
-    stored value that ``load`` rejects is a corrupt entry: it is
-    reported through :func:`warnings.warn`, recomputed and overwritten."""
-    store = _store
-    if store is None:
-        return compute()
-    key = f"{ctx}|{ex.to_text(e)}"
-    cached = store.get(operation, key)
-    if cached is not None:
-        try:
-            return load(cached)
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            warnings.warn(f"corrupt cache entry {operation} {key} ignored ({err!r})")
-    result = compute()
-    store.put(operation, key, dump(result))
-    return result
 
 
 def _atom_weight(e: ex.Expr, ctx: GrassContext) -> BlockWeight:
@@ -478,14 +469,7 @@ def _atom_weight(e: ex.Expr, ctx: GrassContext) -> BlockWeight:
 
 @lru_cache(maxsize=None)
 def _evaluate(e: ex.Expr, ctx: GrassContext) -> Decomposition:
-    return _through_store(
-        "evaluate",
-        e,
-        ctx,
-        lambda: _evaluate_node(e, ctx),
-        Decomposition.to_json,
-        Decomposition.from_json,
-    )
+    return _evaluate_node(e, ctx)
 
 
 def _evaluate_node(e: ex.Expr, ctx: GrassContext) -> Decomposition:

@@ -166,8 +166,8 @@ def _koszul_columns(rng):
 def test_cohomology_of_matches_expression_route(tmp_path):
     # a Tensor node's profile is read off the LR pairs of its children;
     # it must equal Bott summed over the product's decomposition, when
-    # computed without a store, when computed with one and when read
-    # back from it
+    # computed without a store, when computed with one and when its
+    # powers are read back from it
     cases = [(CTX, ex.Wedge(2, ex.THETA))] + list(_koszul_columns(random.Random(2205)))
     try:
         for store in (None, Store(tmp_path), Store(tmp_path)):

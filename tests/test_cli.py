@@ -122,10 +122,10 @@ def test_undecodable_cache_value_is_one_warning_line(tmp_path):
     run_cli(args, tmp_path, check=True)
     for path in (tmp_path / "cache").glob("*.json"):
         entry = json.loads(path.read_text())
-        if entry["operation"] == "evaluate" and entry["key"] == "2,5|sym(2,Q)":
+        if entry["operation"] == "power" and entry["key"] == "sym|2|2,5:[1,0|0,0,0]x1":
             break
     else:
-        raise AssertionError("no evaluate entry for sym(2,Q)")
+        raise AssertionError("no power entry for sym(2,Q)")
     weights = entry["value"]["weights"]
     weights[next(iter(weights))] = "x"
     path.write_text(json.dumps(entry))
@@ -236,6 +236,14 @@ def test_euler_hilbert_screen(tmp_path):
     proc = run_cli(["screen", "--F", "irr[3,0]", "--grass", "2,5"], tmp_path, check=True)
     data = json.loads(proc.stdout)
     assert data["is_fano"] is False and data["det_coefficient"] == "6"
+
+
+def test_enumerate_refuses_large_k(tmp_path):
+    proc = run_cli(["enumerate", "--lemma54", "--k", "17"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: candidate enumeration is exponential in k; "
+        "k = 17 exceeds the limit of 16\n"
+    )
 
 
 def test_enumerate_subcommand(tmp_path):
@@ -494,8 +502,11 @@ TABLE_GOLDENS = (
 
 @pytest.mark.parametrize("argv, code, stdout", TABLE_GOLDENS, ids=[g[0] for g in TABLE_GOLDENS])
 def test_table_format_golden(argv, code, stdout, tmp_path):
-    proc = run_cli([*argv.split(), "--format", "table"], tmp_path)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
+    # cold, warm on the same cache, and without the store
+    args = [*argv.split(), "--format", "table"]
+    for run in (args, args, [*args, "--no-cache"]):
+        proc = run_cli(run, tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, ""), run
 
 
 def _readme_cli_examples():
@@ -551,36 +562,21 @@ def _store_entries(cache_dir):
     }
 
 
-def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
-    # a Koszul column is stored as a cohomology profile only; the
-    # decompositions of its children stay in the store for other commands
+def test_store_holds_only_powers_keyed_by_decomposition(tmp_path):
+    # the store holds one power entry per expanded plethysm, keyed by
+    # its kind, p and input decomposition; Koszul columns, cohomology
+    # profiles and other expression nodes are memoized in process only
     args = ["euler", "--E", "O(0)", "--F", "sym(3,Q)", "--grass", "2,4"]
     cold = run_cli(args, tmp_path, check=True)
-    entries = _store_entries(tmp_path / "cache")
-    for q in range(5):
-        key = f"2,4|tensor(O(0),wedge({q},dual(sym(3,Q))))"
-        assert ("cohomology", key) in entries
-        assert ("evaluate", key) not in entries
-        assert ("evaluate", f"2,4|wedge({q},dual(sym(3,Q)))") in entries
+    dual_f = "2,4:[0,-3|0,0]x1"
+    assert _store_entries(tmp_path / "cache") == {("power", "sym|3|2,4:[1,0|0,0]x1")} | {
+        ("power", f"wedge|{q}|{dual_f}") for q in range(1, 5)
+    }
     warm = run_cli(args, tmp_path, check=True)
     assert warm.stdout == cold.stdout == '{"euler": "27"}\n'
 
-    # the deformation groups are the q = p cells of the columns of E = F
-    # and E = Theta, stored the same way; a vanishing group is never
-    # decomposed
-    cache = tmp_path / "thm2-pass"
-    args = ["check", "thm2", "--F", "sym(2,Q)", "--grass", "2,5"]
-    cold = run_cli(args, tmp_path, check=True, cache_dir=cache)
-    assert json.loads(cold.stdout)["witnesses"] == []
-    entries = _store_entries(cache)
-    for e, ps in (("sym(2,Q)", range(1, 4)), ("Theta", range(4))):
-        for p in ps:
-            key = f"2,5|tensor({e},wedge({p},dual(sym(2,Q))))"
-            assert ("cohomology", key) in entries, key
-            assert ("evaluate", key) not in entries, key
-    assert run_cli(args, tmp_path, check=True, cache_dir=cache).stdout == cold.stdout
-
-    # a nonzero group is decomposed for its witness weights, and only it
+    # a failing thm2 decomposes its nonzero column for the witness
+    # weights, and stores nothing for it
     cache = tmp_path / "thm2-fail"
     args = ["check", "thm2", "--F", "sym(4,Q)", "--grass", "1,4"]
     runs = [run_cli(args, tmp_path, cache_dir=cache) for _ in range(2)]
@@ -588,10 +584,28 @@ def test_cohomology_query_stores_profile_not_its_decomposition(tmp_path):
     witnesses = json.loads(runs[0].stdout)["witnesses"]
     assert [(w["group"], w["p"]) for w in witnesses] == [("5.1b", 1)]
     assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {(1, runs[0].stdout, "")}
-    tensors = {
-        key for op, key in _store_entries(cache) if op == "evaluate" and "|tensor(" in key
+    assert _store_entries(cache) == {
+        ("power", "sym|4|1,4:[1|0,0,0]x1"),
+        ("power", "wedge|1|1,4:[-4|0,0,0]x1"),
     }
-    assert tensors == {"1,4|tensor(Theta,wedge(1,dual(sym(4,Q))))"}
+
+    # thm3 folds its list to the left and thm1 was given the right-nested
+    # sum; both evaluate to the same decomposition, so thm3 finds every
+    # power it needs in the store and writes nothing
+    cache = tmp_path / "nesting"
+    run_cli(
+        ["check", "thm1", "--F", "sum(Q,sum(O(1),sym(2,Q)))", "--grass", "2,6"],
+        tmp_path, check=True, cache_dir=cache,
+    )
+    before = _store_entries(cache)
+    assert before and {op for op, _ in before} == {"power"}
+    args = ["check", "thm3", "--F", "Q,O(1),sym(2,Q)", "--grass", "2,6"]
+    warm = run_cli(args, tmp_path, cache_dir=cache)
+    assert _store_entries(cache) == before
+    bare = run_cli([*args, "--no-cache"], tmp_path)
+    assert (warm.returncode, warm.stdout, warm.stderr) == (
+        bare.returncode, bare.stdout, bare.stderr
+    )
 
 
 def test_check_thm2_is_warning_free_at_rank_equal_to_dimension(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from itertools import permutations
 from math import comb
@@ -6,8 +7,15 @@ from math import comb
 import pytest
 
 from grassbott import expr as ex
+from grassbott import schur
+from grassbott.cache import Store
 from grassbott.dims import block_rank, sl_dim, straighten
-from grassbott.errors import DomainError, NotACharacterError, StructureError
+from grassbott.errors import (
+    DomainError,
+    NotACharacterError,
+    OracleBudgetError,
+    StructureError,
+)
 from grassbott.schur import (
     Decomposition,
     _gt_character,
@@ -350,6 +358,56 @@ def test_reducible_wedge_binomial_expansion():
         fast = wedge_power(d, p)
         assert fast.rank() == comb(rank, p)
         assert fast.table == oracle_power(d, p, "wedge").table
+
+
+def _reducible_sums(rng, count):
+    """``count`` direct sums of 2-3 irreducible k-block weights, k <= 3,
+    n <= 6, total rank <= 12, with the rank of each."""
+    contexts = [GrassContext(k, n) for k, n in ((1, 4), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6))]
+    sums = []
+    while len(sums) < count:
+        ctx = rng.choice(contexts)
+        table: dict = {}
+        for _ in range(rng.randint(2, 3)):
+            first = tuple(sorted((rng.randint(-1, 2) for _ in range(ctx.k)), reverse=True))
+            w = BlockWeight.from_first(ctx, first)
+            table[w] = table.get(w, 0) + 1
+        d = Decomposition(ctx, table)
+        if d.rank() <= 12:
+            sums.append((d, d.rank()))
+    return sums
+
+
+def test_reducible_powers_match_oracle_with_and_without_store(tmp_path, monkeypatch):
+    # the store keys a power by the canonical text of its input, which
+    # for a sum lists several summands; results must agree with the
+    # oracle computed without a store, cold from a store and warm from it
+    cases = []
+    for d, rank in _reducible_sums(random.Random(2601), 30):
+        for kind, ps in (("wedge", range(rank + 2)), ("sym", range(4))):
+            for p in ps:
+                try:
+                    cases.append((d, p, kind, oracle_power(d, p, kind).table))
+                except OracleBudgetError:
+                    continue
+    assert len(cases) > 200
+    power = {"wedge": wedge_power, "sym": sym_power}
+
+    def check(store):
+        schur.set_store(store)
+        for d, p, kind, oracle in cases:
+            assert power[kind](d, p).table == oracle, (d.canonical_text(), p, kind)
+
+    try:
+        check(None)
+        check(Store(tmp_path))
+        # warm: every nontrivial power must be read back, not expanded
+        monkeypatch.setattr(schur, "_power_char", None)
+        check(Store(tmp_path))
+    finally:
+        schur.set_store(None)
+    entries = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+    assert entries and {entry["operation"] for entry in entries} == {"power"}
 
 
 def test_evaluate_atoms_and_identities():

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from grassbott import screens
 from grassbott.dims import sl_dim
 from grassbott.errors import DomainError, StructureError
 from grassbott.schur import _gt_character
 from grassbott.screens import (
+    LEMMA54_MAX_K,
     _partitions_at_most,
     enumerate_lemma54,
     find_witnesses_41,
@@ -197,6 +199,15 @@ def test_enumerate_lemma54_boundary_tight():
 def test_enumerate_lemma54_rejects_small_k():
     with pytest.raises(DomainError):
         enumerate_lemma54(1)
+
+
+def test_enumerate_lemma54_refuses_large_k_before_any_work(monkeypatch):
+    # exponential in k: a k above the limit is refused before the walk
+    # starts (never run a large k here)
+    assert LEMMA54_MAX_K == 16
+    monkeypatch.setattr(screens, "_partitions_at_most", None)
+    with pytest.raises(DomainError, match="k = 17 exceeds the limit of 16"):
+        enumerate_lemma54(17)
 
 
 def test_rank_bound_holds_for_fano_witnesses():
