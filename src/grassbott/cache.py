@@ -1,9 +1,10 @@
 """Content-addressed persistence of computed values across CLI runs.
 
 The package stores one operation, ``power``: the plethysm results of
-:func:`grassbott.schur._power_fast`, keyed by the input decomposition
-(see :func:`grassbott.schur.set_store`).  Entries of the earlier
-``evaluate`` and ``cohomology`` operations are never read again.
+:func:`grassbott.schur._power_fast` as ``[first, second, multiplicity]``
+rows, keyed by the input decomposition (see :func:`grassbott.schur.set_store`).
+Schema-1 files, with decomposition JSON values and ``evaluate`` and
+``cohomology`` entries, are never read again.
 
 One JSON file per entry under the cache root; the filename is a 64-bit
 digest (CRC-32 then Adler-32, in hex) of (schema version, operation,
@@ -30,7 +31,7 @@ import os
 import warnings
 import zlib
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_VAR = "GBK_CACHE_DIR"
 _SEQ = itertools.count()  # this process's writes, for temp-file names
 

@@ -112,8 +112,7 @@ def _check(args, ctx):
     if report.connected_h0 is not None:
         lines.append(f"h0(O_X): {report.connected_h0}")
     for w in report.witnesses:
-        where = f"p={w.p}" + (f", r={w.r}" if w.r is not None else "")
-        lines.append(f"witness [{w.group}] {where}: dim {w.dim}")
+        lines.append(f"witness [{w.group}] {w.place()}: dim {w.dim}")
     lines += [f"note: {note}" for note in report.notes]
     return [report.to_json()], lines, 1 if report.witnesses else 0
 

@@ -293,16 +293,6 @@ class Decomposition(Record):
             },
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Decomposition":
-        k, n = (int(x) for x in data["grass"].split(","))
-        ctx = GrassContext(k, n)
-        table = {
-            BlockWeight.from_canonical(key): int(m)
-            for key, m in data["weights"].items()
-        }
-        return cls(ctx, table)
-
 
 def _from_pairs(ctx: GrassContext, pairs: dict) -> Decomposition:
     """The decomposition with the given (first, second) pairs; a
@@ -347,14 +337,22 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
         # higher powers of a rank-zero bundle vanish, and so do exterior
         # powers beyond the rank
         return _from_pairs(ctx, {})
+    expected = comb(rank, p) if kind == "wedge" else comb(rank + p - 1, p)
     store = _store
     if store is not None:
         key = f"{kind}|{p}|{d.canonical_text()}"
-        cached = store.get("power", key)
-        if cached is not None:
+        rows = store.get("power", key)
+        if rows is not None:
+            # outside input: int entries, blocks that fit this context,
+            # and the rank of this power
             try:
-                return Decomposition.from_json(cached)
-            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                if not all(type(x) is int for f, s, m in rows for x in (*f, *s, m)):
+                    raise TypeError("an entry is not an int")
+                out = _from_pairs(ctx, {(tuple(f), tuple(s)): m for f, s, m in rows})
+                if out.rank() != expected:
+                    raise ValueError(f"rank {out.rank()} != {expected}")
+                return out
+            except (TypeError, ValueError) as err:
                 warnings.warn(f"corrupt cache entry power {key} ignored ({err!r})")
     char = _full_char(d)
     if kind == "wedge" and 2 * p > rank:
@@ -369,11 +367,10 @@ def _power_fast(d: Decomposition, p: int, kind: str) -> Decomposition:
     else:
         pairs = _racah_speiser(_power_char(char, p, kind), k)
     out = _from_pairs(ctx, pairs)
-    expected = comb(rank, p) if kind == "wedge" else comb(rank + p - 1, p)
     if out.rank() != expected:
         raise AssertionError(f"rank mismatch: {out.rank()} != {expected}")
     if store is not None:
-        store.put("power", key, out.to_json())
+        store.put("power", key, sorted([f, s, m] for (f, s), m in pairs.items()))
     return out
 
 
@@ -447,9 +444,12 @@ def set_store(store) -> None:
     Only plethysm reaches the store: :func:`_power_fast` reads and writes
     one ``power`` entry per expanded power, keyed by the kind, p and the
     :meth:`Decomposition.canonical_text` of its input, so every spelling
-    of a bundle shares it.  Trivial powers (p = 0, rank 0, a wedge above
-    the rank) are never stored, and a detached run builds no keys or JSON
-    values.  Everything else is an in-process memo."""
+    of a bundle shares it.  Its value, the sorted ``[first, second,
+    multiplicity]`` rows of the result, is read in the caller's context,
+    and one that does not fit it or the power's rank is warned about and
+    recomputed.  Trivial powers (p = 0, rank 0, a wedge above the rank)
+    are never stored, and a detached run builds no keys or JSON values.
+    Everything else is an in-process memo."""
     global _store
     _store = store
 

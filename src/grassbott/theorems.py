@@ -96,6 +96,10 @@ class ScanWitness(Record, frozen=True):
             data["weights"] = [w.canonical() for w in self.weights]
         return data
 
+    def place(self) -> str:
+        """Where the group sits, as written in texts: ``p=3, r=2`` or ``p=3``."""
+        return f"p={self.p}" if self.r is None else f"p={self.p}, r={self.r}"
+
 
 class TheoremReport(Record):
     __slots__ = (
@@ -372,6 +376,15 @@ class CrossReport(Record):
         }
 
 
+# scan group, the condition systems that predict its failures, their
+# label, and the prefix of p in the texts
+_PAIRINGS = (
+    ("thm1", ("4.1",), "4.1", ""),
+    ("5.1a", ("a",), "a", ""),
+    ("5.1b", ("b", "b'"), "b/b'", "wedge "),
+)
+
+
 def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     """Compare every full-scan failure with the condition-system
     witnesses and vice versa; mismatches are reported verbatim, never
@@ -382,27 +395,7 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
     evaluate(f, ctx)  # refuses a non-dominant beta
     require_globally_generated(beta)
     report = CrossReport(ctx, beta.first)
-    k, n = ctx.k, ctx.n
-
-    thm1_failures = scan_normality(ctx, f)
-    def_failures = scan_deformation(ctx, f)
-    fail_a = [w for w in def_failures if w.group == "5.1a"]
-    fail_b = [w for w in def_failures if w.group == "5.1b"]
-
-    if k == 1:
-        for w in thm1_failures + fail_a + fail_b:
-            report.mismatches.append(
-                f"scan failure {w.group} at p={w.p}"
-                + (f", r={w.r}" if w.r is not None else "")
-                + ": no condition system applies for k=1 (hypersurface case)"
-            )
-        return report
-
-    # one search per system; the displayed witnesses are those that also
-    # meet the Fano-range line
-    found41 = find_witnesses_41(ctx, beta)
-    found_a = find_witnesses_5(ctx, beta, "a")
-    found_b = find_witnesses_5(ctx, beta, "b") + find_witnesses_5(ctx, beta, "b'")
+    failures = scan_normality(ctx, f) + scan_deformation(ctx, f)
 
     def key(w) -> tuple:
         # the scan group a witness predicts: the wedge index p it probes
@@ -410,53 +403,46 @@ def cross_validate(ctx: GrassContext, beta) -> CrossReport:
         # as for the 5.1 scan groups)
         return wedge_index(ctx, w.system, w.s), w.r
 
-    # per pairing: scan failures and found witnesses, then the texts for
-    # a match, an unmatched failure, the witness that misses only the
-    # Fano-range line shown with it, and a displayed witness without a
-    # failure
-    rows = (
-        (
-            thm1_failures,
-            found41,
-            lambda fw: f"thm1 failure (p={fw.p}, r={fw.r}) <-> system 4.1",
-            lambda fw: f"scan failure thm1 (p={fw.p}, r={fw.r}, dim={fw.dim}) has no "
-            "system-4.1 witness as displayed",
-            lambda w: f"; weight {w.weight} satisfies the chain except the Fano-range "
-            f"line b_1 <= n-1 = {n - 1}",
-            lambda w: f"system-4.1 witness (s={w.s}, r={w.r}, weight={w.weight}) "
-            "has no matching scan failure",
-        ),
-        (
-            fail_a,
-            found_a,
-            lambda fw: f"5.1a failure (p={fw.p}) <-> system a",
-            lambda fw: f"scan failure 5.1a (p={fw.p}, dim={fw.dim}) has no system-a "
-            "witness as displayed",
-            lambda w: f"; weight {w.weight} satisfies the chain except the Fano-range "
-            "line",
-            lambda w: f"system-a witness (s={w.s}, weight={w.weight}) has no matching "
-            "5.1a scan failure",
-        ),
-        (
-            fail_b,
-            found_b,
-            lambda fw: f"5.1b failure (wedge p={fw.p}) <-> system b/b'",
-            lambda fw: f"scan failure 5.1b (wedge p={fw.p}, dim={fw.dim}) has no "
-            "system-b/b' witness as displayed",
-            lambda w: f"; weight {w.weight} satisfies system {w.system} except the "
-            "Fano-range line",
-            lambda w: f"system-{w.system} witness (s={w.s}, weight={w.weight}) has no "
-            "matching 5.1b scan failure",
-        ),
-    )
-    for failures, found, matched, unmatched, probed, orphan in rows:
+    for group, systems, label, wedge in _PAIRINGS:
+        group_failures = [fw for fw in failures if fw.group == group]
+        if ctx.k == 1:
+            report.mismatches.extend(
+                f"scan failure {group} at {fw.place()}: no condition system applies "
+                "for k=1 (hypersurface case)"
+                for fw in group_failures
+            )
+            continue
+        # the searches are looked up by name, so a tracer that rebinds them
+        # sees each call; the displayed witnesses also meet the Fano-range line
+        if group == "thm1":
+            found = find_witnesses_41(ctx, beta)
+        else:
+            found = [w for system in systems for w in find_witnesses_5(ctx, beta, system)]
         strict = [w for w in found if w.fano_line]
-        for fw in failures:
+        for fw in group_failures:
             if any(key(w) == (fw.p, fw.r) for w in strict):
-                report.matches.append(matched(fw))
+                report.matches.append(f"{group} failure ({wedge}{fw.place()}) <-> system {label}")
                 continue
+            text = (
+                f"scan failure {group} ({wedge}{fw.place()}, dim={fw.dim}) has no "
+                f"system-{label} witness as displayed"
+            )
+            # a witness that misses only the Fano-range line is shown with it
             probe = next((w for w in found if key(w) == (fw.p, fw.r)), None)
-            report.mismatches.append(unmatched(fw) + (probed(probe) if probe else ""))
-        failed = {(fw.p, fw.r) for fw in failures}
-        report.mismatches.extend(orphan(w) for w in strict if key(w) not in failed)
+            if probe is not None:
+                chain = "the chain" if len(systems) == 1 else f"system {probe.system}"
+                line = f" b_1 <= n-1 = {ctx.n - 1}" if group == "thm1" else ""
+                text += (
+                    f"; weight {probe.weight} satisfies {chain} except the Fano-range line{line}"
+                )
+            report.mismatches.append(text)
+        failed = {(fw.p, fw.r) for fw in group_failures}
+        scan = "scan failure" if group == "thm1" else f"{group} scan failure"
+        report.mismatches.extend(
+            f"system-{w.system} witness (s={w.s}"
+            + ("" if w.r is None else f", r={w.r}")
+            + f", weight={w.weight}) has no matching {scan}"
+            for w in strict
+            if key(w) not in failed
+        )
     return report

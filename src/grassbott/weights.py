@@ -12,7 +12,6 @@ every construction runs the validation.
 
 from __future__ import annotations
 
-import re
 from math import comb
 
 from .errors import DomainError, StructureError
@@ -115,16 +114,6 @@ class BlockWeight(Record, frozen=True):
         f = ",".join(str(x) for x in self.first)
         s = ",".join(str(x) for x in self.second)
         return f"{self.ctx.k},{self.ctx.n}:[{f}|{s}]"
-
-    @classmethod
-    def from_canonical(cls, text: str) -> "BlockWeight":
-        m = re.fullmatch(r"(\d+),(\d+):\[([-\d,]*)\|([-\d,]*)\]", text)
-        if m is None:
-            raise StructureError(f"not a canonical weight: {text!r}")
-        ctx = GrassContext(int(m.group(1)), int(m.group(2)))
-        first = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
-        second = tuple(int(x) for x in m.group(4).split(",")) if m.group(4) else ()
-        return cls(ctx, first, second)
 
     def __str__(self) -> str:
         return self.canonical()

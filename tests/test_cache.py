@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from grassbott import clear_caches, schur
 from grassbott import expr as ex
-from grassbott import schur
 from grassbott.bott import cohomology
 from grassbott.cache import SCHEMA_VERSION, Store, default_cache_dir
 from grassbott.weights import GrassContext
@@ -51,10 +51,10 @@ def test_corrupt_entry_is_a_miss(tmp_path):
 
 
 def test_entry_file_name_is_pinned(tmp_path):
-    # crc32 then adler32 of b"1\x00evaluate\x002,5|sym(2,Q)"; a change of
+    # crc32 then adler32 of b"2\x00evaluate\x002,5|sym(2,Q)"; a change of
     # name orphans every entry users have on disk
     path = Store(tmp_path)._path("evaluate", "2,5|sym(2,Q)")
-    assert path == os.path.join(str(tmp_path), "f3d46ad255ef06f1.json")
+    assert path == os.path.join(str(tmp_path), "853153ef560606f2.json")
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); from grassbott.cache import Store; "
@@ -126,21 +126,15 @@ def test_cache_transparent_for_results(tmp_path):
     ctx = GrassContext(2, 5)
     e = ex.Twist(ex.Dual(ex.Wedge(3, ex.Sym(3, ex.Q))), 2)
     schur.set_store(None)
-    schur._evaluate.cache_clear()
-    from grassbott.bott import _cohomology_cached
-
-    _cohomology_cached.cache_clear()
+    clear_caches()
     bare = dict(cohomology(e, ctx))
     try:
         schur.set_store(Store(tmp_path))
-        schur._evaluate.cache_clear()
-        _cohomology_cached.cache_clear()
+        clear_caches()
         warm = dict(cohomology(e, ctx))  # populates the store
-        schur._evaluate.cache_clear()
-        _cohomology_cached.cache_clear()
+        clear_caches()
         cached = dict(cohomology(e, ctx))  # reads it back
     finally:
         schur.set_store(None)
-        schur._evaluate.cache_clear()
-        _cohomology_cached.cache_clear()
+        clear_caches()
     assert bare == warm == cached == {3: 1}

@@ -115,9 +115,25 @@ def test_unusable_cache_dir_is_one_warning_line(tmp_path):
     assert line.startswith(f"warning: cache disabled: cannot create {blocker / 'sub'} (")
 
 
-def test_undecodable_cache_value_is_one_warning_line(tmp_path):
-    # an entry that parses as JSON but whose value does not load is a
-    # corrupt entry: a miss, recomputed and overwritten
+# corruptions of the stored sym^2 Q on Gr(2,5), whose value is
+# [[[2, 0], [0, 0, 0], 1]]
+CORRUPT_POWER_VALUES = {
+    "string": "x",
+    "schema-1-dict": {"grass": "2,5", "weights": {"2,5:[2,0|0,0,0]": "1"}},
+    "row-arity": [[[2, 0], [0, 0, 0]]],
+    "float-entry": [[[2.5, 0], [0, 0, 0], 1]],
+    "foreign-grassmannian": [[[2, 0, 0], [0, 0], 1]],
+    "non-dominant": [[[0, 2], [0, 0, 0], 1]],
+    "zero-multiplicity": [[[2, 0], [0, 0, 0], 0]],
+    "wrong-rank": [[[2, 0], [0, 0, 0], 2]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("value", CORRUPT_POWER_VALUES.values(), ids=CORRUPT_POWER_VALUES)
+def test_undecodable_cache_value_is_one_warning_line(value, tmp_path):
+    # an entry that parses as JSON but whose value does not fit the query
+    # is a corrupt entry: a miss, recomputed and overwritten
     args = ["rank", "sym(2,Q)", "--grass", "2,5"]
     run_cli(args, tmp_path, check=True)
     for path in (tmp_path / "cache").glob("*.json"):
@@ -126,8 +142,8 @@ def test_undecodable_cache_value_is_one_warning_line(tmp_path):
             break
     else:
         raise AssertionError("no power entry for sym(2,Q)")
-    weights = entry["value"]["weights"]
-    weights[next(iter(weights))] = "x"
+    assert entry["value"] == [[[2, 0], [0, 0, 0], 1]]
+    entry["value"] = value
     path.write_text(json.dumps(entry))
     proc = run_cli(args, tmp_path)
     bare = run_cli(args + ["--no-cache"], tmp_path)

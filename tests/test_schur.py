@@ -448,9 +448,3 @@ def test_globally_generated_closed_under_powers():
         for out in (wedge_power(d, p), sym_power(d, p)):
             for summand, _ in out.items():
                 assert is_globally_generated(summand)
-
-
-def test_decomposition_json_roundtrip():
-    d = evaluate(ex.Wedge(2, ex.THETA), CTX)
-    again = Decomposition.from_json(d.to_json())
-    assert again.ctx == d.ctx and again.table == d.table

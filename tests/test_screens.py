@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from grassbott.screens import (
     find_witnesses_5,
     screen,
 )
+from grassbott.theorems import cross_validate
 from grassbott.weights import BlockWeight, GrassContext
 
 CTX25 = GrassContext(2, 5)
@@ -275,3 +277,23 @@ def test_witness_search_golden():
                             digest.update(repr(rows).encode())
     assert (searches, shown, found) == (356, 66, 5580)
     assert digest.hexdigest() == WITNESS_GOLDEN
+
+
+# sha256 over the sorted-key JSON of cross_validate, one report after
+# another, on the sweep candidates with n <= 7 and rank <= 8 (in
+# sweep_candidates() order) and then on Gr(1,n), n = 2..7, with
+# beta = 1..2n-1: 341 instances and 936 match and mismatch texts
+CROSSVAL_GOLDEN = "bc5b4cecf9099156d79240ceb71a4a205745106859e40c88bfd0b4e273b9658b"
+
+
+def test_cross_validation_texts_golden():
+    cases = [(k, n, tuple(b)) for k, n, b in _sweep_candidates() if n <= 7 and sl_dim(tuple(b)) <= 8]
+    cases += [(1, n, (b,)) for n in range(2, 8) for b in range(1, 2 * n)]
+    digest = hashlib.sha256()
+    texts = 0
+    for k, n, beta in cases:
+        report = cross_validate(GrassContext(k, n), beta)
+        texts += len(report.matches) + len(report.mismatches)
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert (len(cases), texts) == (341, 936)
+    assert digest.hexdigest() == CROSSVAL_GOLDEN
